@@ -356,29 +356,20 @@ def regions_cell(name: str, scale: float) -> str:
     region/window reductions fold shard-by-shard and peak memory stays
     bounded by the shard size, not the trace length.
     """
-    trace = engine.trace_handle(name, scale)
-    try:
+    with engine.open_trace(name, scale) as trace:
         return regions_line(name, trace)
-    finally:
-        suite.evict(name, scale)
 
 
 def predict_cell(name: str, scale: float, scheme: str) -> str:
     """One prediction-accuracy cell routed through the engine."""
-    trace = engine.trace_handle(name, scale)
-    try:
+    with engine.open_trace(name, scale) as trace:
         return predict_line(name, trace, scheme)
-    finally:
-        suite.evict(name, scale)
 
 
 def timing_cell(name: str, scale: float) -> str:
     """One Figure-8 sweep cell routed through the engine."""
-    trace = engine.trace_for(name, scale)
-    try:
-        return timing_block(name, trace)
-    finally:
-        suite.evict(name, scale)
+    with engine.open_trace(name, scale) as handle:
+        return timing_block(name, handle.materialize())
 
 
 # -- the facade ---------------------------------------------------------
@@ -426,11 +417,12 @@ class Session:
         self._lock = threading.Lock()          # serialises computation
         self._counter_lock = threading.Lock()  # warm-path counter bumps
         #: Optional observer of resident-LRU traffic.  Called with
-        #: ``"hit"`` / ``"miss"`` / ``"evict"`` as they happen; the
-        #: serve layer points this at its admission controller so
-        #: cache thrash drives load shedding.  Must be fast and must
-        #: not call back into the session (it may run under the
-        #: session lock).
+        #: ``"hit"`` / ``"miss"`` / ``"evict"`` as they happen, and
+        #: ``"warm"`` for a load made by :meth:`warm` (counted as a
+        #: miss, but it is preparation, not traffic); the serve layer
+        #: points this at its admission controller so cache thrash
+        #: drives load shedding.  Must be fast and must not call back
+        #: into the session (it may run under the session lock).
         self.trace_events: Optional[Callable[[str], None]] = None
 
     # -- internal helpers ----------------------------------------------
@@ -440,6 +432,7 @@ class Session:
             self._api_ns.counter(name).inc(amount)
 
     _TRACE_COUNTERS = {"hit": "trace.hits", "miss": "trace.misses",
+                       "warm": "trace.misses",
                        "evict": "trace.evictions"}
 
     def _note_trace(self, kind: str) -> None:
@@ -449,12 +442,14 @@ class Session:
         if listener is not None:
             listener(kind)
 
-    def _fetch_trace(self, name: str, scale: float) -> Trace:
+    def _fetch_trace(self, name: str, scale: float,
+                     warming: bool = False) -> Trace:
         """A resident trace, loading (cache or simulate) on first use.
 
         Must be called with :attr:`_lock` held; counts hits/misses/
         evictions into ``api.trace.*`` so the warm path (and LRU
-        churn) is observable.
+        churn) is observable.  A load made while ``warming`` reaches
+        the listener as ``"warm"`` rather than ``"miss"``.
         """
         key = (name, float(scale))
         trace = self._traces.get(key)
@@ -476,7 +471,7 @@ class Session:
         # The miss is noted *after* insertion so a listener that
         # snapshots the resident set (the serve warm manifest) sees
         # the trace it was just told about.
-        self._note_trace("miss")
+        self._note_trace("warm" if warming else "miss")
         while len(self._traces) > self.max_resident_traces:
             self._traces.popitem(last=False)
             self._note_trace("evict")
@@ -510,7 +505,7 @@ class Session:
         for name, scale in pairs:
             suite.spec(name)            # validate before any work
             with self._lock:
-                self._fetch_trace(name, float(scale))
+                self._fetch_trace(name, float(scale), warming=True)
             warmed.append((name, float(scale)))
         return warmed
 

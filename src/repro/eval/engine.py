@@ -45,15 +45,14 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
-
-import numpy as np
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro import metrics
 from repro.eval import checkpoint, faults, reporting
@@ -61,9 +60,7 @@ from repro.obs import spans
 from repro.testing import faults as fault_injection
 from repro.trace import cache as trace_cache
 from repro.trace import shards
-from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
-                                 OC_SYSCALL, REGION_DATA, REGION_HEAP,
-                                 REGION_STACK, Trace)
+from repro.trace.records import Trace
 from repro.trace.shards import ShardedTrace
 from repro.workloads import suite
 
@@ -298,29 +295,21 @@ def take_metrics() -> "OrderedDict[str, Dict[str, dict]]":
     return collected
 
 
-def _publish_trace_metrics(trace: Trace) -> None:
-    """Publish the functional layer's instruction/region mix.
-
-    A handful of vectorised reductions over the columnar view, taken
-    only when collection is enabled - the disabled fast path costs a
-    single attribute check.
-    """
+def _publish_trace_counts(counts: dict) -> None:
+    """Publish the functional layer's instruction/region mix from a
+    :data:`~repro.trace.shards.COUNT_FIELDS` tally - a sharded trace's
+    manifest totals or one in-RAM trace's column counts, the same
+    numbers either way."""
     registry = metrics.active()
     if not registry.enabled:
         return
-    op = trace.columns.op_class
-    mem = (op == OC_LOAD) | (op == OC_STORE)
-    regions = np.bincount(trace.columns.region[mem], minlength=3)
     ns = registry.scoped("cpu")
-    ns.counter("instructions").inc(len(trace))
-    ns.counter("loads").inc(int(np.count_nonzero(op == OC_LOAD)))
-    ns.counter("stores").inc(int(np.count_nonzero(op == OC_STORE)))
-    ns.counter("branches").inc(int(np.count_nonzero(op == OC_BRANCH)))
-    ns.counter("syscalls").inc(int(np.count_nonzero(op == OC_SYSCALL)))
+    for field in ("instructions", "loads", "stores", "branches",
+                  "syscalls"):
+        ns.counter(field).inc(counts[field])
     region_ns = ns.scoped("region")
-    region_ns.counter("data").inc(int(regions[REGION_DATA]))
-    region_ns.counter("heap").inc(int(regions[REGION_HEAP]))
-    region_ns.counter("stack").inc(int(regions[REGION_STACK]))
+    for region in ("data", "heap", "stack"):
+        region_ns.counter(region).inc(counts[f"region_{region}"])
 
 
 # -- trace acquisition --------------------------------------------------
@@ -342,118 +331,74 @@ def _ensure_columns(trace: Trace) -> None:
     _stages.cache_io += time.perf_counter() - started
 
 
-def _publish_manifest_metrics(trace: ShardedTrace) -> None:
-    """Publish the ``cpu.*`` instruction/region mix from the shard
-    manifest's per-shard tallies - zero shard I/O, byte-identical to
-    :func:`_publish_trace_metrics` over the materialised columns."""
-    registry = metrics.active()
-    if not registry.enabled:
-        return
-    counts = trace.counts()
-    ns = registry.scoped("cpu")
-    ns.counter("instructions").inc(counts["instructions"])
-    ns.counter("loads").inc(counts["loads"])
-    ns.counter("stores").inc(counts["stores"])
-    ns.counter("branches").inc(counts["branches"])
-    ns.counter("syscalls").inc(counts["syscalls"])
-    region_ns = ns.scoped("region")
-    region_ns.counter("data").inc(counts["region_data"])
-    region_ns.counter("heap").inc(counts["region_heap"])
-    region_ns.counter("stack").inc(counts["region_stack"])
-
-
-def _open_sharded(name: str, scale: float) -> ShardedTrace:
-    """Fetch (or produce) the sharded trace, timed into the current
-    stage breakdown; publishes nothing."""
+def _fetch(name: str, scale: float):
+    """Fetch (or produce) the workload's trace handle, timed and
+    cache-accounted into the current stage breakdown; publishes
+    nothing.  Sharding on yields a :class:`ShardedTrace` (disk-backed
+    through the active cache, memory-chunked without one), off an
+    in-RAM :class:`Trace`."""
     cache = trace_cache.active_cache()
-    shard_rows = shards.get_shard_rows()
-    if cache is None:
-        started = time.perf_counter()
-        writer = shards.MemoryShardWriter(name, shard_rows)
-        trace = shards.simulate_sharded(name, scale, writer)
-        _stages.functional_sim += time.perf_counter() - started
-        return trace
-    before = cache.stats.snapshot()
-    trace = cache.fetch_sharded(name, scale, shard_rows)
-    _stages.functional_sim += cache.stats.sim_seconds \
-        - before.sim_seconds
-    _stages.cache_io += cache.stats.load_seconds - before.load_seconds
-    _stages.cache_hits += cache.stats.hits - before.hits
-    _stages.cache_misses += cache.stats.misses - before.misses
-    _stages.cache_corrupt += cache.stats.corrupt - before.corrupt
+    sharded = shards.sharding_enabled()
+    with spans.span("trace:fetch", workload=name, sharded=sharded) as sp:
+        if cache is None:
+            started = time.perf_counter()
+            if sharded:
+                writer = shards.MemoryShardWriter(
+                    name, shards.get_shard_rows())
+                trace = shards.simulate_sharded(name, scale, writer)
+            else:
+                trace = suite.run(name, scale)
+            _stages.functional_sim += time.perf_counter() - started
+            sp.set("cache", "off")
+        else:
+            before = cache.stats.snapshot()
+            if sharded:
+                trace = cache.fetch_sharded(name, scale,
+                                            shards.get_shard_rows())
+            else:
+                trace = cache.fetch(name, scale, producer=suite.run)
+            _stages.functional_sim += cache.stats.sim_seconds \
+                - before.sim_seconds
+            _stages.cache_io += cache.stats.load_seconds \
+                - before.load_seconds
+            _stages.cache_hits += cache.stats.hits - before.hits
+            _stages.cache_misses += cache.stats.misses - before.misses
+            _stages.cache_corrupt += cache.stats.corrupt - before.corrupt
+            if cache.stats.hits > before.hits:
+                sp.set("cache", "hit")
+            elif cache.stats.corrupt > before.corrupt:
+                sp.set("cache", "corrupt")
+            else:
+                sp.set("cache", "miss")
+    if not sharded:
+        _ensure_columns(trace)
     return trace
 
 
-def trace_handle(name: str, scale: float):
-    """A trace *handle* for streaming reductions.
+@contextmanager
+def open_trace(name: str, scale: float) -> Iterator:
+    """The one way a cell gets a workload's trace.
 
-    With sharding enabled (``--shard-rows`` / ``REPRO_SHARD_ROWS``)
-    this is a :class:`~repro.trace.shards.ShardedTrace` - disk-backed
-    through the active trace cache, memory-chunked otherwise - whose
-    chunks stream through the reductions without ever materialising
-    the whole trace.  With sharding off it is the plain in-RAM
-    :class:`Trace` from :func:`trace_for`.  Either way the workload's
-    ``cpu.*`` metrics are published exactly once (from the shard
-    manifest's tallies in the sharded case - no shard I/O).
+    Yields the trace *handle*: with sharding enabled (``--shard-rows``
+    / ``REPRO_SHARD_ROWS``) a :class:`ShardedTrace` whose chunks
+    stream through the reductions one shard at a time, otherwise the
+    in-RAM :class:`Trace` (one chunk).  Consumers that need records
+    (timing, LVC, hint steering) call ``.materialize()`` on it.  The
+    workload's ``cpu.*`` metrics are published exactly once, from the
+    shard manifest's tallies when sharded (no shard I/O).  On exit
+    exactly this ``(name, scale)`` entry is evicted from the suite memo
+    - a blanket ``cache_clear`` would drop entries other callers (CLI
+    loops, benchmarks, nested drivers) are still iterating.
     """
-    if not shards.sharding_enabled():
-        return trace_for(name, scale)
-    with spans.span("trace:fetch", workload=name, sharded=True) as sp:
-        cache = trace_cache.active_cache()
-        before = cache.stats.snapshot() if cache is not None else None
-        trace = _open_sharded(name, scale)
-        if cache is None:
-            sp.set("cache", "off")
-        elif cache.stats.hits > before.hits:
-            sp.set("cache", "hit")
-        elif cache.stats.corrupt > before.corrupt:
-            sp.set("cache", "corrupt")
-        else:
-            sp.set("cache", "miss")
-        _publish_manifest_metrics(trace)
-        return trace
-
-
-def trace_for(name: str, scale: float) -> Trace:
-    """The workload's trace, via the active trace cache when one is
-    configured, timed into the current stage breakdown."""
-    if shards.sharding_enabled():
-        # Reuse the sharded entry rather than simulating twice: the
-        # consumer needs full columns (e.g. the timing machine), so
-        # materialise them from the shard set.
-        handle = trace_handle(name, scale)
-        started = time.perf_counter()
-        trace = handle.materialize()
-        _stages.cache_io += time.perf_counter() - started
-        return trace
-    cache = trace_cache.active_cache()
-    with spans.span("trace:fetch", workload=name) as sp:
-        if cache is None:
-            started = time.perf_counter()
-            trace = suite.run(name, scale)
-            _stages.functional_sim += time.perf_counter() - started
-            sp.set("cache", "off")
-            _ensure_columns(trace)
-            _publish_trace_metrics(trace)
-            return trace
-        before = cache.stats.snapshot()
-        trace = cache.fetch(name, scale, producer=suite.run)
-        _stages.functional_sim += cache.stats.sim_seconds \
-            - before.sim_seconds
-        _stages.cache_io += cache.stats.load_seconds \
-            - before.load_seconds
-        _stages.cache_hits += cache.stats.hits - before.hits
-        _stages.cache_misses += cache.stats.misses - before.misses
-        _stages.cache_corrupt += cache.stats.corrupt - before.corrupt
-        if cache.stats.hits > before.hits:
-            sp.set("cache", "hit")
-        elif cache.stats.corrupt > before.corrupt:
-            sp.set("cache", "corrupt")
-        else:
-            sp.set("cache", "miss")
-        _ensure_columns(trace)
-        _publish_trace_metrics(trace)
-        return trace
+    try:
+        trace = _fetch(name, scale)
+        if metrics.active().enabled:
+            _publish_trace_counts(
+                trace.counts() if isinstance(trace, ShardedTrace)
+                else shards._shard_counts(trace.columns))
+        yield trace
+    finally:
+        suite.evict(name, scale)
 
 
 # -- cell fan-out -------------------------------------------------------
@@ -837,6 +782,17 @@ def run_cells(worker: Callable, names: Sequence[str], scale: float,
 
 # -- (cell x shard) fan-out ---------------------------------------------
 
+def _fold_cell(name: str, scale: float, partial: Callable,
+               fold: Callable, *args) -> object:
+    """Serial reduction: ``partial`` over the handle's chunks in
+    order, then ``fold`` - the same pair the fan-out distributes."""
+    with open_trace(name, scale) as trace:
+        return fold(name, scale,
+                    [partial(name, scale, chunk, index, *args)
+                     for index, chunk in enumerate(
+                         shards.iter_chunks(trace))], *args)
+
+
 def _produce_cell(name: str, scale: float) -> int:
     """Pass-1 worker: ensure the sharded entry exists; shard count.
 
@@ -844,81 +800,92 @@ def _produce_cell(name: str, scale: float) -> int:
     the manifest tallies), so the fan-out's merged per-workload
     snapshot carries them exactly once, like a monolithic cell.
     """
-    handle = trace_handle(name, scale)
-    if not isinstance(handle, ShardedTrace):
-        raise RuntimeError(
-            "sharded fan-out requires sharding enabled in the worker")
-    return handle.num_shards
+    with open_trace(name, scale) as handle:
+        if not isinstance(handle, ShardedTrace):
+            raise RuntimeError(
+                "sharded fan-out requires sharding enabled in the worker")
+        return handle.num_shards
 
 
-def _shard_cell(pseudo: str, scale: float, shard_worker: Callable,
+def _shard_cell(pseudo: str, scale: float, partial: Callable,
                 *args) -> object:
-    """Pass-2 worker: run ``shard_worker`` over one ``name#i`` shard.
+    """Pass-2 worker: run ``partial`` over one ``name#i`` shard.
 
-    Loads exactly one shard (lazy manifest open + one chunk read) and
-    publishes no metrics - every publication belongs to the produce or
-    combine cells so merged snapshots match the monolithic run.
+    Opens the manifest the produce pass left in the cache *without*
+    cache-hit accounting (the produce cell already counted this
+    workload's fetch), loads exactly one shard, and publishes no
+    metrics - every publication belongs to the produce or combine
+    cells so merged snapshots match the monolithic run.
     """
     name, _, index = pseudo.partition("#")
     index = int(index)
-    trace = _open_sharded(name, scale)
+    started = time.perf_counter()
+    trace = trace_cache.active_cache().load_sharded(
+        name, scale, shards.get_shard_rows())
+    if trace is None:       # evicted or quarantined since pass 1
+        trace = _fetch(name, scale)
     chunk = trace.chunk(index)
-    return shard_worker(name, scale, chunk, index, *args)
+    _stages.cache_io += time.perf_counter() - started
+    return partial(name, scale, chunk, index, *args)
 
 
-def _combine_cell(name: str, scale: float, combine_worker: Callable,
+def _combine_cell(name: str, scale: float, fold: Callable,
                   partials: Dict[str, list], *args) -> object:
     """Pass-3 worker: fold one workload's ordered shard partials."""
-    return combine_worker(name, scale, partials[name], *args)
+    return fold(name, scale, partials[name], *args)
 
 
-def run_cells_sharded(shard_worker: Callable, combine_worker: Callable,
+def run_cells_sharded(partial: Callable, fold: Callable,
                       names: Sequence[str], scale: float, *args,
-                      jobs: Optional[int] = None,
-                      fallback: Optional[Callable] = None)\
-        -> List[object]:
-    """Fan one experiment out over every ``(workload, shard)`` pair.
+                      jobs: Optional[int] = None) -> List[object]:
+    """Run a ``(partial, fold)`` reduction for each workload.
 
-    Three passes, each through :func:`run_cells` (so retries, pool
-    rebuilds, checkpointing, and ordered merging all apply):
+    ``partial(name, scale, chunk, index, *args)`` reduces one chunk
+    of the trace; ``fold(name, scale, partials, *args)`` folds the
+    chunk partials, in trace order, into the cell's result (and
+    publishes the reduction's metrics).
+
+    With sharding *and* a disk-backed trace cache (pool workers read
+    shards by path) the reduction fans out over every ``(workload,
+    shard)`` pair in three passes, each through :func:`run_cells` (so
+    retries, pool rebuilds, checkpointing, and ordered merging all
+    apply):
 
     1. *produce* - one cell per workload materialises its sharded
        trace into the cache and publishes the ``cpu.*`` metrics;
-    2. *shard* - one cell per ``(workload, shard)`` runs
-       ``shard_worker(name, scale, chunk, index, *args)``, loading
-       only that shard (this is where ``--jobs`` buys wall-clock);
-    3. *combine* - in-process per workload,
-       ``combine_worker(name, scale, partials, *args)`` folds the
-       ordered shard partials and publishes the reduction's metrics.
+    2. *shard* - one cell per ``(workload, shard)`` runs ``partial``
+       over that shard alone (this is where ``--jobs`` buys
+       wall-clock);
+    3. *combine* - in-process per workload, ``fold`` folds the ordered
+       shard partials.
+
+    Otherwise each workload is one :func:`run_cells` cell running the
+    same pair serially over its handle's chunks.
 
     Byte-identity: shard cells publish nothing, the produce and
-    combine cells publish exactly what one monolithic cell would, and
+    combine cells publish exactly what one serial cell would, and
     partials are folded in shard order - so tables and metric exports
-    match the unsharded run at any ``--jobs`` / ``--shard-rows``.
-
-    Requires sharding *and* a disk-backed trace cache (pool workers
-    read shards by path); otherwise every workload runs through
-    ``fallback`` (default ``combine_worker``-compatible monolithic
-    worker supplied by the driver) via plain :func:`run_cells`.
+    match at any ``--jobs`` / ``--shard-rows``.  The stage report
+    counts one cell per workload either way: the shard and combine
+    cells are parts of their workload's cell.
     """
     if (not shards.sharding_enabled()
             or trace_cache.active_cache() is None):
-        if fallback is None:
-            raise ValueError("run_cells_sharded needs a fallback "
-                             "worker when sharding is unavailable")
-        return run_cells(fallback, names, scale, *args, jobs=jobs)
+        return run_cells(_fold_cell, names, scale, partial, fold, *args,
+                         jobs=jobs)
     names = list(names)
     with spans.span("engine:fanout", cells=len(names)) as sp:
         counts = run_cells(_produce_cell, names, scale, jobs=jobs)
+        cells = _stages.cells
         pseudo = [f"{name}#{index}"
                   for name, count in zip(names, counts)
                   for index in range(count)]
         sp.set("shards", len(pseudo))
-        flat = run_cells(_shard_cell, pseudo, scale, shard_worker,
-                         *args, jobs=jobs)
+        flat = run_cells(_shard_cell, pseudo, scale, partial, *args,
+                         jobs=jobs)
         partials: Dict[str, list] = {name: [] for name in names}
-        for pseudo_name, partial in zip(pseudo, flat):
-            partials[_cell_key(pseudo_name)].append(partial)
+        for pseudo_name, result in zip(pseudo, flat):
+            partials[_cell_key(pseudo_name)].append(result)
         # The combine pass is cheap, in-process, and fully derivable
         # from the journalled shard cells - journalling it would key
         # entries on the partials themselves (huge, repr-truncated),
@@ -926,7 +893,8 @@ def run_cells_sharded(shard_worker: Callable, combine_worker: Callable,
         global _journal
         journal, _journal = _journal, None
         try:
-            return run_cells(_combine_cell, names, scale,
-                             combine_worker, partials, *args, jobs=1)
+            return run_cells(_combine_cell, names, scale, fold,
+                             partials, *args, jobs=1)
         finally:
             _journal = journal
+            _stages.cells = cells

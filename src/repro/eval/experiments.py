@@ -15,7 +15,6 @@ gshare front end, A8 hint steering).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,12 +29,11 @@ from repro.timing.config import MachineConfig, figure8_configs
 from repro.timing.machine import TimingResult, simulate
 from repro.trace.regions import (REGION_CLASSES, RegionBreakdown,
                                  breakdown_from_partial,
-                                 fold_pc_partials, pc_region_partial,
-                                 region_breakdown)
+                                 fold_pc_partials, pc_region_partial)
 from repro.trace.windows import (RegionWindowStats,
                                  combine_window_partials,
                                  stats_from_moments,
-                                 window_shard_partial, window_stats)
+                                 window_shard_partial)
 from repro.workloads import suite
 
 #: ARPT capacities evaluated in the paper's Figure 5 (None = unlimited),
@@ -45,45 +43,6 @@ from repro.workloads import suite
 FIGURE5_SIZES: Tuple[Optional[int], ...] = (None, 64 * 1024, 32 * 1024,
                                             16 * 1024, 8 * 1024, 1024,
                                             256, 64)
-
-
-@contextmanager
-def _workload(name: str, scale: float):
-    """One workload's trace (via the trace cache when one is active),
-    with eviction scoped to exactly this ``(name, scale)`` entry - a
-    blanket ``cache_clear`` would drop entries other callers (CLI
-    loops, benchmarks, nested drivers) are still iterating at a
-    different scale."""
-    trace = engine.trace_for(name, scale)
-    try:
-        yield trace
-    finally:
-        suite.evict(name, scale)
-
-
-@contextmanager
-def _workload_handle(name: str, scale: float):
-    """Like :func:`_workload`, but yields a streaming *handle*.
-
-    With sharding enabled (``--shard-rows``) this is a
-    :class:`~repro.trace.shards.ShardedTrace` whose chunks stream
-    through the region/window/predictor reductions one shard at a time
-    - peak RSS stays bounded by the shard size, not the trace length.
-    With sharding off it degrades to the plain in-RAM trace.  Every
-    reduction taking a handle is byte-identical across both forms.
-    """
-    trace = engine.trace_handle(name, scale)
-    try:
-        yield trace
-    finally:
-        suite.evict(name, scale)
-
-
-def _traces(scale: float, names: Sequence[str]):
-    """Stream (name, trace) pairs, evicting each trace afterwards."""
-    for name in names:
-        with _workload(name, scale) as trace:
-            yield name, trace
 
 
 class _TableResult:
@@ -151,7 +110,7 @@ class Table1Result(_TableResult):
 def _table1_cell(name: str, scale: float) -> Table1Row:
     # Under sharding every figure here comes straight from the shard
     # manifest's tallies - the cell performs zero shard I/O.
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         return Table1Row(
             name=name,
             mirrors=suite.spec(name).mirrors,
@@ -198,18 +157,13 @@ class Figure2Result(_TableResult):
                 "region(s)")
 
 
-def _figure2_cell(name: str, scale: float) -> RegionBreakdown:
-    with _workload_handle(name, scale) as trace:
-        return region_breakdown(trace)
-
-
-def _figure2_shard(name: str, scale: float, chunk, index: int):
-    """Per-shard Figure-2 partial: bounded per-PC region masks."""
+def _figure2_partial(name: str, scale: float, chunk, index: int):
+    """Per-chunk Figure-2 partial: bounded per-PC region masks."""
     return pc_region_partial(chunk)
 
 
-def _figure2_combine(name: str, scale: float,
-                     partials: list) -> RegionBreakdown:
+def _figure2_fold(name: str, scale: float,
+                  partials: list) -> RegionBreakdown:
     _, masks, dynamic = fold_pc_partials(partials)
     return breakdown_from_partial(name, masks, dynamic)
 
@@ -219,15 +173,13 @@ def figure2(scale: float = 1.0,
             jobs: Optional[int] = None) -> ExperimentResult:
     """F2: static memory instructions by accessed region(s).
 
-    With sharding enabled and a trace cache active, fans out over
-    every ``(workload, shard)`` pair - each shard's per-PC partial is
-    computed in its own cell and the bounded partials fold in shard
-    order, byte-identical to the monolithic reduction.
+    Per-chunk per-PC partials fold in trace order; with sharding
+    enabled and a trace cache active the engine fans the partials out
+    over every ``(workload, shard)`` pair, byte-identically.
     """
     return _result("figure2", Figure2Result(
         breakdowns=engine.run_cells_sharded(
-            _figure2_shard, _figure2_combine, names, scale, jobs=jobs,
-            fallback=_figure2_cell)))
+            _figure2_partial, _figure2_fold, names, scale, jobs=jobs)))
 
 
 # ----------------------------------------------------------------------
@@ -260,20 +212,13 @@ class Table2Result(_TableResult):
 _TABLE2_WINDOWS = (32, 64)
 
 
-def _table2_cell(name: str, scale: float)\
-        -> Tuple[RegionWindowStats, RegionWindowStats]:
-    with _workload_handle(name, scale) as trace:
-        return tuple(window_stats(trace, window)
-                     for window in _TABLE2_WINDOWS)
-
-
-def _table2_shard(name: str, scale: float, chunk, index: int):
-    """Per-shard Table-2 partials (inner moments + boundary edges)."""
+def _table2_partial(name: str, scale: float, chunk, index: int):
+    """Per-chunk Table-2 partials (inner moments + boundary edges)."""
     return tuple(window_shard_partial(chunk, window)
                  for window in _TABLE2_WINDOWS)
 
 
-def _table2_combine(name: str, scale: float, partials: list)\
+def _table2_fold(name: str, scale: float, partials: list)\
         -> Tuple[RegionWindowStats, RegionWindowStats]:
     out = []
     for position, window in enumerate(_TABLE2_WINDOWS):
@@ -288,16 +233,16 @@ def table2(scale: float = 1.0,
            jobs: Optional[int] = None) -> ExperimentResult:
     """T2: per-region bandwidth and burstiness in sliding windows.
 
-    Fans out over ``(workload, shard)`` when sharding is enabled: each
-    shard contributes exact inner moments plus its boundary edges, the
-    combine step reconstructs every window straddling a shard boundary,
-    and the folded moments (and the published ``trace.window<W>.*``
-    time-series) match the monolithic pass bit for bit.
+    Each chunk contributes exact inner moments plus its boundary
+    edges, the fold reconstructs every window straddling a chunk
+    boundary, and the folded moments (and the published
+    ``trace.window<W>.*`` time-series) do not depend on the chunking;
+    with sharding enabled and a trace cache active the engine fans the
+    partials out over ``(workload, shard)`` pairs.
     """
     return _result("table2", Table2Result(
         stats=engine.run_cells_sharded(
-            _table2_shard, _table2_combine, names, scale, jobs=jobs,
-            fallback=_table2_cell)))
+            _table2_partial, _table2_fold, names, scale, jobs=jobs)))
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +275,7 @@ class Figure4Result(_TableResult):
 
 def _figure4_cell(name: str, scale: float, schemes: Tuple[Scheme, ...])\
         -> Dict[str, PredictionResult]:
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         return {scheme.name: evaluate_scheme(trace, scheme)
                 for scheme in schemes}
 
@@ -370,7 +315,7 @@ class Table3Result(_TableResult):
 
 
 def _table3_cell(name: str, scale: float) -> Dict[str, int]:
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         return occupancy_by_context(trace)
 
 
@@ -418,7 +363,7 @@ class Figure5Result(_TableResult):
 def _figure5_cell(name: str, scale: float,
                   sizes: Tuple[Optional[int], ...])\
         -> Dict[str, Tuple[float, float]]:
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         hints = hints_from_trace(trace)
         by_size: Dict[str, Tuple[float, float]] = {}
         for size in sizes:
@@ -469,7 +414,8 @@ class Section33Result(_TableResult):
 
 def _section33_cell(name: str, scale: float,
                     size_bytes: int) -> StackCacheResult:
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         return stack_cache_hit_rate(trace, size_bytes)
 
 
@@ -527,7 +473,8 @@ class Figure8Result(_TableResult):
 def _figure8_cell(name: str, scale: float,
                   configs: Tuple[MachineConfig, ...])\
         -> Dict[str, TimingResult]:
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         return {cfg.name: simulate(trace, cfg) for cfg in configs}
 
 
@@ -563,7 +510,7 @@ class AblationTwoBitResult(_TableResult):
 
 
 def _two_bit_cell(name: str, scale: float) -> Tuple[float, float]:
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         one = evaluate_scheme(trace, "1bit-hybrid")
         two = evaluate_scheme(trace, "2bit-hybrid")
         return one.accuracy, two.accuracy
@@ -603,7 +550,7 @@ class AblationContextResult(_TableResult):
 def _context_bits_cell(name: str, scale: float,
                        splits: Tuple[Tuple[int, int], ...])\
         -> Dict[str, float]:
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         by_split = {}
         for gbh_bits, cid_bits in splits:
             result = evaluate_scheme(trace, "1bit-hybrid",
@@ -661,7 +608,8 @@ def _hint_steering_cell(name: str, scale: float) -> Dict[str, float]:
     from repro.timing.config import decoupled_config
     compiled = suite.compile_workload(name, scale)
     hints = static_hints(compiled)
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         arpt = simulate(trace, decoupled_config(3, 3))
         hinted = simulate(trace, decoupled_config(3, 3), hints=hints)
         oracle = simulate(trace, decoupled_config(3, 3,
@@ -740,7 +688,8 @@ def _front_end_cell(name: str, scale: float)\
     }
     per_fe: Dict[str, Dict[str, float]] = {}
     ipc: Dict[str, float] = {}
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         for front_end in ("perfect", "gshare"):
             results = {}
             for label, cfg in base_configs.items():
@@ -803,7 +752,8 @@ def _heap_decoupling_cell(name: str, scale: float) -> Dict[str, float]:
         "stack (2+2)": decoupled_config(2, 2, steering="oracle"),
         "heap (2+2)": decoupled_config(2, 2, steering="oracle-heap"),
     }
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         results = {label: simulate(trace, cfg)
                    for label, cfg in configs.items()}
     baseline = results["(2+0)"].cycles
@@ -863,7 +813,8 @@ def _banked_configs() -> Tuple[MachineConfig, ...]:
 
 def _banked_cell(name: str, scale: float) -> Dict[str, float]:
     configs = _banked_configs()
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         results = {cfg.name: simulate(trace, cfg) for cfg in configs}
     baseline = results["(2+0)"].cycles
     return {cfg.name: baseline / results[cfg.name].cycles
@@ -921,7 +872,7 @@ def _static_hints_cell(name: str, scale: float,
     compiled = suite.compile_workload(name, scale)
     fig6 = static_hints(compiled)
     stats = static_hint_stats(compiled)
-    with _workload_handle(name, scale) as trace:
+    with engine.open_trace(name, scale) as trace:
         ideal = hints_from_trace(trace)
         return StaticHintsRow(
             name=name,
@@ -969,7 +920,8 @@ class AblationLvcResult(_TableResult):
 
 def _lvc_size_cell(name: str, scale: float,
                    sizes: Tuple[int, ...]) -> Dict[int, float]:
-    with _workload(name, scale) as trace:
+    with engine.open_trace(name, scale) as handle:
+        trace = handle.materialize()
         return {size: stack_cache_hit_rate(trace, size).hit_rate
                 for size in sizes}
 

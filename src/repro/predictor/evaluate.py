@@ -21,9 +21,15 @@ counter is the composition of clamp-add steps, and such compositions
 form a closed monoid (``f(x) = min(hi, max(lo, x + a))``), so one
 segmented Hillis-Steele scan over per-index groups replays every
 counter in ``O(n log L)`` array operations (L = longest per-index run;
-see :func:`_replay_table`).  ``evaluate_scheme_scalar`` is the
-retained record-at-a-time reference implementation the equivalence
-tests pin the fast path against.
+see :func:`_counter_states`).
+
+Every replay is one loop over the trace's chunks - a single chunk for
+an in-RAM :class:`Trace`, one per shard for a
+:class:`~repro.trace.shards.ShardedTrace` - carrying the branch-outcome
+history and the ARPT entry state across chunk boundaries, so the
+result does not depend on how the trace is chunked.
+``evaluate_scheme_scalar`` is the retained record-at-a-time reference
+implementation the equivalence tests pin the fast path against.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.predictor.static_rules import mode_is_definitive, \
     static_predicts_stack
 from repro.trace.records import (MODE_CONSTANT, MODE_GLOBAL, MODE_STACK,
                                  OC_BRANCH, REGION_STACK, Trace)
+from repro.trace.shards import iter_chunks
 
 _CID_SHIFT = 3  # drop always-zero alignment bits of the return address
 
@@ -88,7 +95,7 @@ class _ReplayPrepass:
     several schemes - or `occupancy_by_context`'s four probes - on the
     same trace only repeats the (cheap) rule-4 table replay.
 
-    The sharded replay builds one prepass per chunk, threading the
+    The replay builds one prepass per chunk, threading the
     *branch-outcome carry* through: ``gbh_carry`` holds the last
     ``min(gbh_bits, branches so far)`` outcomes, which fully determine
     the global-history register at the chunk boundary, and
@@ -192,8 +199,7 @@ def _validate_table_size(table_size: Optional[int]) -> None:
 
 
 def _counter_states(first: np.ndarray, d: np.ndarray,
-                    seed: Optional[np.ndarray] = None)\
-        -> Tuple[np.ndarray, np.ndarray]:
+                    seed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Saturating-counter states around each access, per sorted group.
 
     Returns ``(before, after)``: the counter value each access read and
@@ -201,9 +207,9 @@ def _counter_states(first: np.ndarray, d: np.ndarray,
     index-sorted reference stream; ``d`` is the per-access counter
     increment (+1 stack, -1 non-stack).  Each group replays
     ``c = clip(c + d, 0, 3)`` from its ``seed`` entry (one value per
-    group in start order; cold 0 when omitted) - the shard replay seeds
-    each group with the entry state carried from earlier shards.  A
-    clamp-add step is ``f(x) = min(hi, max(lo, x + a))`` and the
+    group in start order: the entry state carried from earlier chunks,
+    0 for a cold entry).  A clamp-add step is
+    ``f(x) = min(hi, max(lo, x + a))`` and the
     composition of two such functions is again one (apply ``f`` then
     ``g``: ``a' = a_f + a_g``, ``lo' = clip(lo_f + a_g, lo_g, hi_g)``,
     ``hi' = clip(hi_f + a_g, lo_g, hi_g)``), so the per-group inclusive
@@ -266,106 +272,40 @@ def _counter_states(first: np.ndarray, d: np.ndarray,
     # the scanned lo/hi bounds are seed-independent); the predicting
     # state is the previous access's, and group firsts read the seed.
     within = cum - np.repeat(cum[starts] - d[starts], runs)
-    if seed is None:
-        after = np.clip(within, lo, hi)
-        before = np.empty(n, dtype=np.int32)
+    seeds = np.asarray(seed, dtype=np.int32)
+    after = np.clip(np.repeat(seeds, runs) + within, lo, hi)
+    before = np.empty(n, dtype=np.int32)
+    if n:
         before[0] = 0
         before[1:] = after[:-1]
-        before[first] = 0
-    else:
-        seeds = np.asarray(seed, dtype=np.int32)
-        after = np.clip(np.repeat(seeds, runs) + within, lo, hi)
-        before = np.empty(n, dtype=np.int32)
-        if n:
-            before[0] = 0
-            before[1:] = after[:-1]
-            before[starts] = seeds
+        before[starts] = seeds
     return before, after
 
 
-def _replay_table(index: np.ndarray, actual: np.ndarray, bits: int,
-                  table_size: Optional[int]) -> Tuple[int, int]:
-    """Replay rule-4 references through a tagless ARPT.
-
-    Returns ``(table_correct, occupancy)``.  Both entry widths replay
-    fully vectorised after one stable sort by table index: the 1-bit
-    table predicts the previous actual within each group (a grouped
-    shift; first access reads the cold "non-stack" entry), and the
-    2-bit saturating-counter ablation replays through the segmented
-    clamp-add scan in :func:`_counter_states`.
-    ``_replay_table_scalar`` is the retained dict-loop reference the
-    equivalence tests pin this path against.
-    """
-    _validate_table_size(table_size)
-    if table_size is not None:
-        index = index & (table_size - 1)
-    n = len(index)
-    if n == 0:
-        return 0, 0
-    order = np.argsort(index, kind="stable")
-    sorted_actual = actual[order]
-    first = np.empty(n, dtype=np.bool_)
-    first[0] = True
-    sorted_index = index[order]
-    np.not_equal(sorted_index[1:], sorted_index[:-1], out=first[1:])
-    if bits == 1:
-        prediction = np.empty(n, dtype=np.bool_)
-        prediction[0] = False
-        prediction[1:] = sorted_actual[:-1]
-        prediction[first] = False  # cold entries predict non-stack
-    else:
-        d = np.where(sorted_actual, np.int32(1), np.int32(-1))
-        prediction = _counter_states(first, d)[0] >= 2
-    correct = int(np.count_nonzero(prediction == sorted_actual))
-    return correct, int(np.count_nonzero(first))
-
-
-def _replay_table_scalar(index: np.ndarray, actual: np.ndarray,
-                         bits: int, table_size: Optional[int])\
-        -> Tuple[int, int]:
-    """Dict-loop reference for :func:`_replay_table` (tests only)."""
-    _validate_table_size(table_size)
-    if table_size is not None:
-        index = index & (table_size - 1)
-    entries: Dict[int, int] = {}
-    correct = 0
-    if bits == 1:
-        for idx, is_stack in zip(index.tolist(), actual.tolist()):
-            if (entries.get(idx, 0) == 1) == is_stack:
-                correct += 1
-            entries[idx] = 1 if is_stack else 0
-        return correct, len(entries)
-    for idx, is_stack in zip(index.tolist(), actual.tolist()):
-        counter = entries.get(idx, 0)
-        if (counter >= 2) == is_stack:
-            correct += 1
-        if is_stack:
-            entries[idx] = min(3, counter + 1)
-        else:
-            entries[idx] = max(0, counter - 1)
-    return correct, len(entries)
-
-
 class _TableReplayState:
-    """Cross-shard carry for the tagless-ARPT replay.
+    """Tagless-ARPT replay state, carried across chunks.
 
     Holds one entry state per table index written so far (the 1-bit
-    last outcome or the 2-bit counter value) - the *entire* hardware
-    state of the table, so feeding shards through :meth:`observe` in
-    trace order replays exactly the sequence a whole-trace
-    :func:`_replay_table` would.  Each shard still replays vectorised:
-    one stable sort, then per-group seeds drawn from the carried
-    entries (the grouped-shift / segmented-scan maths is unchanged -
-    only the cold state of each group differs).
+    last outcome or the 2-bit counter value), as sorted ``keys`` with
+    parallel ``values`` - the *entire* hardware state of the table, so
+    feeding chunks through :meth:`observe` in trace order replays
+    exactly the whole-trace sequence.  Each chunk replays vectorised
+    after one stable sort by table index: the 1-bit table predicts the
+    previous actual within each group (a grouped shift), and the 2-bit
+    saturating-counter ablation replays through the segmented
+    clamp-add scan in :func:`_counter_states`; each group's first
+    access reads its carried entry (cold "non-stack" when the index
+    was never written).
     """
 
-    __slots__ = ("bits", "table_size", "entries", "correct")
+    __slots__ = ("bits", "table_size", "keys", "values", "correct")
 
     def __init__(self, bits: int, table_size: Optional[int]) -> None:
         _validate_table_size(table_size)
         self.bits = bits
         self.table_size = table_size
-        self.entries: Dict[int, int] = {}
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros(0, dtype=np.int32)
         self.correct = 0
 
     def observe(self, index: np.ndarray, actual: np.ndarray) -> None:
@@ -382,41 +322,45 @@ class _TableReplayState:
         np.not_equal(sorted_index[1:], sorted_index[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], n) - 1
-        keys = sorted_index[starts].tolist()
-        entries = self.entries
+        # Look each group's index up in the carried entries.
+        keys = sorted_index[starts]
+        slot = np.searchsorted(self.keys, keys)
+        known = slot < len(self.keys)
+        known[known] = self.keys[slot[known]] == keys[known]
+        seeds = np.zeros(len(keys), dtype=np.int32)
+        seeds[known] = self.values[slot[known]]
         if self.bits == 1:
             prediction = np.empty(n, dtype=np.bool_)
             prediction[0] = False
             prediction[1:] = sorted_actual[:-1]
-            prediction[starts] = np.fromiter(
-                (entries.get(k, 0) == 1 for k in keys),
-                dtype=np.bool_, count=len(keys))
-            final = sorted_actual[ends].tolist()
-            for key, value in zip(keys, final):
-                entries[key] = 1 if value else 0
+            prediction[starts] = seeds == 1
+            final = sorted_actual[ends].astype(np.int32)
         else:
             d = np.where(sorted_actual, np.int32(1), np.int32(-1))
-            seeds = np.fromiter((entries.get(k, 0) for k in keys),
-                                dtype=np.int32, count=len(keys))
             before, after = _counter_states(first, d, seeds)
             prediction = before >= 2
-            for key, value in zip(keys, after[ends].tolist()):
-                entries[key] = value
+            final = after[ends]
         self.correct += int(np.count_nonzero(
             prediction == sorted_actual))
+        # Update the written entries, then insert the new indices in
+        # order (their slots are ascending, so keys stay sorted).
+        self.values[slot[known]] = final[known]
+        fresh = ~known
+        self.keys = np.insert(self.keys, slot[fresh], keys[fresh])
+        self.values = np.insert(self.values, slot[fresh], final[fresh])
 
     @property
     def occupancy(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
 
 class _SchemeReplay:
-    """One scheme's streaming evaluation, folded shard by shard.
+    """One scheme's evaluation, folded chunk by chunk.
 
     Scalar tallies (definitive, hinted, static rule-4) are plain sums;
-    the only genuine cross-shard state is the ARPT contents, carried in
-    :class:`_TableReplayState`.  After the last shard, :meth:`result`
-    matches the in-RAM :func:`evaluate_scheme` field for field.
+    the only genuine cross-chunk state is the ARPT contents, carried in
+    :class:`_TableReplayState`.  After the last chunk, :meth:`result`
+    holds the whole trace's tallies.
     """
 
     __slots__ = ("scheme", "table_size", "hints", "total", "definitive",
@@ -479,61 +423,16 @@ class _SchemeReplay:
         )
 
 
-def _replay_sharded(trace, replays, gbh_bits: int,
-                    cid_bits: int) -> None:
-    """Stream a sharded trace once through several scheme replays."""
+def _replay_chunks(trace, replays, gbh_bits: int,
+                   cid_bits: int) -> None:
+    """Stream a trace's chunks once through several scheme replays."""
     carry: Optional[np.ndarray] = None
-    for chunk in trace.chunks():
+    for chunk in iter_chunks(trace):
         prepass = _ReplayPrepass(chunk, gbh_bits, cid_bits,
                                  gbh_carry=carry)
         carry = prepass.branch_tail
         for replay in replays:
             replay.observe(prepass)
-
-
-def _evaluate_prepassed(prepass: _ReplayPrepass, scheme: Scheme,
-                        trace_name: str, table_size: Optional[int],
-                        hints: Optional[CompilerHints],
-                        gbh_bits: int, cid_bits: int) -> PredictionResult:
-    """Score one scheme against an existing prepass."""
-    unknown = prepass.mode_unknown
-    pc = prepass.pc[unknown]
-    actual = prepass.actual[unknown]
-    tags = _hint_tags_for(pc, hints)
-
-    hinted_mask = tags >= 0
-    hinted = int(np.count_nonzero(hinted_mask))
-    hinted_correct = int(np.count_nonzero(
-        hinted_mask & ((tags == 1) == actual)))
-
-    remaining = ~hinted_mask
-    if scheme.uses_table:
-        context = prepass.context(scheme.context)[unknown][remaining]
-        index = (pc[remaining] >> PC_SHIFT) ^ context
-        table_correct, occupancy = _replay_table(
-            index, actual[remaining], scheme.bits, table_size)
-        table_predictions = int(np.count_nonzero(remaining))
-        rule4_correct = table_correct
-    else:
-        # Static heuristic #4: predict non-stack.
-        table_predictions = table_correct = occupancy = 0
-        rule4_correct = int(np.count_nonzero(remaining & ~actual))
-
-    result = PredictionResult(
-        scheme=scheme.name,
-        trace_name=trace_name,
-        total=prepass.total,
-        correct=prepass.definitive_correct + hinted_correct + rule4_correct,
-        definitive=prepass.definitive,
-        definitive_correct=prepass.definitive_correct,
-        table_predictions=table_predictions,
-        table_correct=table_correct,
-        hinted=hinted,
-        occupancy=occupancy,
-        table_size=table_size,
-    )
-    _publish_metrics(result, hints is not None, gbh_bits, cid_bits)
-    return result
 
 
 def evaluate_scheme(trace: Trace, scheme,
@@ -548,28 +447,19 @@ def evaluate_scheme(trace: Trace, scheme,
     instructions bypass the predictor (and are correct by construction,
     matching the paper's idealised-compiler methodology).
 
-    ``trace`` may also be a :class:`~repro.trace.shards.ShardedTrace`:
-    the replay then streams shard by shard, carrying the branch-outcome
-    history and the full ARPT entry state across boundaries, and scores
-    byte-identically to the in-RAM replay at any shard size.
+    ``trace`` may also be a :class:`~repro.trace.shards.ShardedTrace`;
+    its shards stream through the same chunk loop and score
+    byte-identically at any shard size.
     """
-    from repro.trace.shards import ShardedTrace
     if isinstance(scheme, str):
         scheme = scheme_by_name(scheme)
     _validate_table_size(table_size)
     with spans.span("predict:replay", scheme=scheme.name,
                     workload=trace.name) as sp:
-        if isinstance(trace, ShardedTrace):
-            replay = _SchemeReplay(scheme, table_size, hints)
-            _replay_sharded(trace, (replay,), gbh_bits, cid_bits)
-            result = replay.result(trace.name)
-            _publish_metrics(result, hints is not None, gbh_bits,
-                             cid_bits)
-        else:
-            prepass = _ReplayPrepass(trace.columns, gbh_bits, cid_bits)
-            result = _evaluate_prepassed(prepass, scheme, trace.name,
-                                         table_size, hints, gbh_bits,
-                                         cid_bits)
+        replay = _SchemeReplay(scheme, table_size, hints)
+        _replay_chunks(trace, (replay,), gbh_bits, cid_bits)
+        result = replay.result(trace.name)
+        _publish_metrics(result, hints is not None, gbh_bits, cid_bits)
         sp.set("references", result.total)
         return result
 
@@ -689,33 +579,20 @@ def occupancy_by_context(trace: Trace,
 
     Reproduces the paper's Table 3: columns are PC-only indexing
     ("static" in the table's header), PC^GBH, PC^CID, and PC^hybrid.
-    The four probes share one prepass (memory subsequence, definitive
-    tallies, context arrays) instead of replaying the full trace four
-    times; each probe publishes the same ``predictor.probe-<context>``
-    metrics a standalone :func:`evaluate_scheme` call would.  A
-    :class:`~repro.trace.shards.ShardedTrace` is streamed once, all
-    four probes folding each chunk's shared prepass.
+    The trace's chunks stream through once, all four probes folding
+    each chunk's shared prepass (memory subsequence, definitive
+    tallies, context arrays); each probe publishes the same
+    ``predictor.probe-<context>`` metrics a standalone
+    :func:`evaluate_scheme` call would.
     """
-    from repro.trace.shards import ShardedTrace
-    contexts = ("none", "gbh", "cid", "hybrid")
-    schemes = {context: Scheme(f"probe-{context}", uses_table=True,
-                               bits=1, context=context)
-               for context in contexts}
+    replays = {context: _SchemeReplay(
+        Scheme(f"probe-{context}", uses_table=True, bits=1,
+               context=context), None, None)
+        for context in ("none", "gbh", "cid", "hybrid")}
+    _replay_chunks(trace, tuple(replays.values()), gbh_bits, cid_bits)
     results = {}
-    if isinstance(trace, ShardedTrace):
-        replays = {context: _SchemeReplay(schemes[context], None, None)
-                   for context in contexts}
-        _replay_sharded(trace, tuple(replays.values()), gbh_bits,
-                        cid_bits)
-        for context in contexts:
-            outcome = replays[context].result(trace.name)
-            _publish_metrics(outcome, False, gbh_bits, cid_bits)
-            results[context] = outcome.occupancy
-        return results
-    prepass = _ReplayPrepass(trace.columns, gbh_bits, cid_bits)
-    for context in contexts:
-        outcome = _evaluate_prepassed(prepass, schemes[context],
-                                      trace.name, None, None, gbh_bits,
-                                      cid_bits)
+    for context, replay in replays.items():
+        outcome = replay.result(trace.name)
+        _publish_metrics(outcome, False, gbh_bits, cid_bits)
         results[context] = outcome.occupancy
     return results

@@ -338,8 +338,14 @@ class ReproServer:
     # -- LRU traffic / warm manifest ------------------------------------
 
     def _on_trace_event(self, kind: str) -> None:
-        """Session LRU listener: feed admission, persist the warm set."""
-        self.admission.note_trace_event(kind)
+        """Session LRU listener: feed admission, persist the warm set.
+
+        Warm-up loads (``"warm"``) change the resident set but are not
+        request traffic, so they stay out of the admission window - a
+        freshly warmed daemon must not read them as a cold cache.
+        """
+        if kind != "warm":
+            self.admission.note_trace_event(kind)
         if kind != "hit":
             self._write_warm_manifest()
 

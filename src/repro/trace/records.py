@@ -211,6 +211,12 @@ class Trace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
+    def materialize(self) -> "Trace":
+        """The whole in-RAM trace: already this one (the same call on
+        a :class:`~repro.trace.shards.ShardedTrace` concatenates its
+        shards)."""
+        return self
+
     def __repr__(self) -> str:
         backing = "records" if self._records is not None else "columns"
         return (f"Trace(name={self.name!r}, n={len(self)}, "

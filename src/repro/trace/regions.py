@@ -15,7 +15,8 @@ from typing import Dict, Iterable, Tuple
 import numpy as np
 
 from repro.trace.records import (REGION_DATA, REGION_HEAP, REGION_STACK,
-                                 Trace, TraceRecord)
+                                 TraceRecord)
+from repro.trace.shards import iter_chunks
 
 #: Canonical class labels in the paper's presentation order.
 REGION_CLASSES = ("D", "H", "S", "D/H", "D/S", "H/S", "D/H/S")
@@ -186,24 +187,16 @@ def fold_pc_partials(partials) -> Tuple[np.ndarray, np.ndarray,
 
 def _pc_region_masks(trace) -> Tuple[np.ndarray, np.ndarray,
                                      np.ndarray]:
-    """Per-static-PC region info for a ``Trace`` *or* ``ShardedTrace``.
+    """Per-static-PC region info for a ``Trace`` or ``ShardedTrace``.
 
-    A sharded trace streams shard-by-shard, folding the bounded
-    per-shard partials as it goes - the accumulator holds one entry
-    per distinct PC, never a whole trace.
+    Folds each chunk's partial into the running one as it goes, so
+    the accumulator holds one entry per distinct PC, never a whole
+    trace (an in-RAM trace is a single chunk).
     """
-    from repro.trace.shards import ShardedTrace
-    if isinstance(trace, ShardedTrace):
-        accumulated = None
-        for chunk in trace.chunks():
-            partial = pc_region_partial(chunk)
-            accumulated = partial if accumulated is None \
-                else fold_pc_partials((accumulated, partial))
-        if accumulated is None:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        return accumulated
-    return pc_region_partial(trace.columns)
+    folded = fold_pc_partials(())
+    for chunk in iter_chunks(trace):
+        folded = fold_pc_partials((folded, pc_region_partial(chunk)))
+    return folded
 
 
 def breakdown_from_partial(name: str, masks: np.ndarray,
@@ -225,9 +218,8 @@ def region_breakdown(trace) -> RegionBreakdown:
 
     Equivalent to streaming the trace through
     :class:`RegionClassifier` (the retained scalar reference) but
-    computed with grouped NumPy reductions over the columnar view.
-    Accepts a :class:`~repro.trace.shards.ShardedTrace` and streams it
-    chunk-wise with byte-identical results.
+    computed with grouped NumPy reductions, folded chunk by chunk over
+    a :class:`Trace` or a :class:`~repro.trace.shards.ShardedTrace`.
     """
     _, masks, dynamic = _pc_region_masks(trace)
     return breakdown_from_partial(trace.name, masks, dynamic)
@@ -238,8 +230,8 @@ def single_region_pcs(trace) -> Dict[int, bool]:
 
     Columnar counterpart of
     :meth:`RegionClassifier.single_region_pcs`, feeding the idealised
-    compiler-hint scheme without materialising records.  Streams
-    sharded traces like :func:`region_breakdown`.
+    compiler-hint scheme without materialising records.  Folds over
+    chunks like :func:`region_breakdown`.
     """
     pcs, masks, _ = _pc_region_masks(trace)
     single = (masks == 0b001) | (masks == 0b010) | (masks == 0b100)

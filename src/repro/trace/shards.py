@@ -11,11 +11,12 @@ of storage, caching, and parallelism:
   :class:`ShardWriter` every ``shard_rows`` retired instructions, so
   producing a ``--scale 100`` trace never holds more than one shard of
   rows in RAM;
-* consumers iterate :meth:`ShardedTrace.chunks` - one
-  :class:`ColumnarTrace` at a time, CRC-verified lazily on load - and
-  fold shard-local partials with explicit carry state (see
-  ``repro.trace.{regions,windows}`` and ``repro.predictor.evaluate``),
-  producing results byte-identical to the in-RAM columnar path;
+* every reduction is one loop over :func:`iter_chunks` - one
+  :class:`ColumnarTrace` at a time, CRC-verified lazily on load (an
+  in-RAM trace is a single chunk) - folding chunk-local partials with
+  explicit carry state (see ``repro.trace.{regions,windows}`` and
+  ``repro.predictor.evaluate``), so results do not depend on the
+  shard size;
 * the eval engine fans out over (cell x shard) so one experiment can
   use every core.
 
@@ -65,8 +66,8 @@ ENV_VAR = "REPRO_SHARD_ROWS"
 SPAN_SAMPLE_ENV_VAR = "REPRO_SPAN_SAMPLE"
 
 #: Aggregate tallies kept per shard in the manifest; summed they are
-#: exactly what ``engine._publish_trace_metrics`` derives from a
-#: monolithic trace's columns.
+#: exactly what :func:`_shard_counts` gives for a monolithic trace's
+#: columns (the engine publishes either as ``cpu.*``).
 COUNT_FIELDS = ("instructions", "loads", "stores", "branches",
                 "syscalls", "region_data", "region_heap", "region_stack")
 
@@ -539,7 +540,7 @@ def simulate_sharded(name: str, scale: float, writer: _WriterBase)\
 
 def shard_trace(trace: Trace, shard_rows: int) -> ShardedTrace:
     """Re-chunk an in-RAM trace into a memory-backed sharded view
-    (array slices are zero-copy; used by tests and fallbacks)."""
+    (array slices are zero-copy; used by tests)."""
     writer = MemoryShardWriter(trace.name, shard_rows)
     columns = trace.columns
     from repro import metrics
@@ -555,7 +556,8 @@ def shard_trace(trace: Trace, shard_rows: int) -> ShardedTrace:
 
 
 def iter_chunks(trace) -> Iterable[ColumnarTrace]:
-    """Uniform chunk iteration over ``Trace`` or ``ShardedTrace``."""
+    """The chunks every reduction loops over: a ``ShardedTrace``'s
+    shards in order, or an in-RAM ``Trace``'s columns as one chunk."""
     if isinstance(trace, ShardedTrace):
         return trace.chunks()
     return iter((trace.columns,))

@@ -17,7 +17,8 @@ from typing import Dict, Iterable, Tuple
 import numpy as np
 
 from repro.trace.records import (REGION_DATA, REGION_HEAP, REGION_STACK,
-                                 Trace, TraceRecord)
+                                 TraceRecord)
+from repro.trace.shards import iter_chunks
 
 REGION_NAMES = {REGION_DATA: "data", REGION_HEAP: "heap",
                 REGION_STACK: "stack"}
@@ -157,34 +158,8 @@ def _empty_moments():
     return [0, dict(zeros), dict(zeros)]
 
 
-def _window_moments(trace, window: int)\
-        -> Tuple[int, Dict[int, int], Dict[int, int]]:
-    """``(samples, sums, sumsq)`` for a ``Trace`` or ``ShardedTrace``.
-
-    The sharded path streams chunk-by-chunk with a *window remainder*
-    carry: each chunk is prepended with the last ``min(window-1, rows
-    so far)`` region codes, so every window that ends inside the chunk
-    - including those straddling the shard boundary - is counted
-    exactly once.  All moments are exact integers, making the fold
-    byte-identical to the one-pass result at any shard size.
-    """
-    if window <= 0:
-        raise ValueError("window size must be positive")
-    from repro.trace.shards import ShardedTrace
-    if not isinstance(trace, ShardedTrace):
-        return _moments_of_ext(_mapped_region(trace.columns), window)
-    acc = _empty_moments()
-    carry = np.zeros(0, dtype=np.int64)
-    for chunk in trace.chunks():
-        ext = np.concatenate((carry, _mapped_region(chunk)))
-        _add_moments(acc, _moments_of_ext(ext, window))
-        carry = ext[max(0, len(ext) - (window - 1)):] if window > 1 \
-            else ext[:0]
-    return acc[0], acc[1], acc[2]
-
-
 def window_shard_partial(columns, window: int) -> dict:
-    """Shard-local Table-2 partial for the (cell x shard) fan-out.
+    """Chunk-local Table-2 partial (one per shard, or per in-RAM trace).
 
     Covers the windows lying *fully inside* this shard, plus the first
     and last ``min(window-1, rows)`` mapped region codes.  The combine
@@ -232,8 +207,8 @@ def stats_from_moments(name: str, window: int, samples: int,
                        sums: Dict[int, int], sumsq: Dict[int, int],
                        publish: bool = True) -> RegionWindowStats:
     """Finish Table-2 statistics (and metric publication) from exact
-    moments - shared by the monolithic, streaming, and fan-out paths
-    so all three publish and round identically."""
+    moments - shared by :func:`window_stats` and the engine fan-out so
+    both publish and round identically."""
     from repro import metrics
     if publish:
         registry = metrics.active()
@@ -262,16 +237,22 @@ def stats_from_moments(name: str, window: int, samples: int,
 def window_stats(trace, window: int) -> RegionWindowStats:
     """One-shot Table-2 statistics for a trace at one window size.
 
-    Computed vectorised over the columnar view (cumulative sums of the
-    region indicator arrays); :class:`SlidingWindowProfiler` is the
-    scalar reference it is tested against.  A
-    :class:`~repro.trace.shards.ShardedTrace` streams shard-by-shard
-    with byte-identical results.
+    Computed vectorised (cumulative sums of the region indicator
+    arrays) as one :func:`window_shard_partial` per chunk of a
+    :class:`~repro.trace.records.Trace` (a single chunk) or a
+    :class:`~repro.trace.shards.ShardedTrace`, folded by
+    :func:`combine_window_partials`;
+    :class:`SlidingWindowProfiler` is the scalar reference it is
+    tested against.
 
     When metrics collection is enabled, publishes one
     ``trace.window<W>.<region>`` time-series per region carrying the
     exact moments (count, sum, sum of squares) of the per-window access
     counts - the inputs to Table 2's mean/std burstiness analysis.
     """
-    samples, sums, sumsq = _window_moments(trace, window)
-    return stats_from_moments(trace.name, window, samples, sums, sumsq)
+    if window <= 0:
+        raise ValueError("window size must be positive")
+    moments = combine_window_partials(
+        (window_shard_partial(chunk, window)
+         for chunk in iter_chunks(trace)), window)
+    return stats_from_moments(trace.name, window, *moments)

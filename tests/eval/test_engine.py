@@ -116,10 +116,13 @@ class TestStageTimes:
 
 
 class TestTraceFor:
+    """Trace acquisition through the one accessor, ``open_trace``."""
+
     def test_columnar_conversion_attributed_to_cache_io(self, monkeypatch):
         """Stage attribution: converting a records-backed trace to its
-        columnar view inside ``trace_for`` is charged to the trace-cache
-        I/O stage, not to functional simulation (or, later, replay)."""
+        columnar view inside ``open_trace`` is charged to the
+        trace-cache I/O stage, not to functional simulation (or, later,
+        replay)."""
         import time as time_module
 
         from repro.trace.columns import ColumnarTrace
@@ -130,6 +133,7 @@ class TestTraceFor:
         def stub_run(name, scale):
             return Trace(name, list(records))
         stub_run.cache_clear = lambda: None  # clear_caches() compatibility
+        stub_run.evict = lambda name, scale: False   # open_trace's exit
         monkeypatch.setattr(suite, "run", stub_run)
         original = ColumnarTrace.from_records.__func__
         delay = 0.05
@@ -140,7 +144,8 @@ class TestTraceFor:
 
         monkeypatch.setattr(ColumnarTrace, "from_records",
                             classmethod(slow_from_records))
-        trace = engine.trace_for("stub", 1.0)
+        with engine.open_trace("stub", 1.0) as trace:
+            pass
         times = engine.stage_times()
         assert trace.has_columns
         assert times.cache_io >= delay
@@ -154,16 +159,19 @@ class TestTraceFor:
         def stub_run(name, scale):
             return Trace(name, columns=ColumnarTrace.empty())
         stub_run.cache_clear = lambda: None  # clear_caches() compatibility
+        stub_run.evict = lambda name, scale: False   # open_trace's exit
         monkeypatch.setattr(suite, "run", stub_run)
-        engine.trace_for("stub", 1.0)
+        with engine.open_trace("stub", 1.0):
+            pass
         assert engine.stage_times().cache_io == 0.0
 
     def test_warm_cache_skips_functional_sim(self, tmp_path):
         trace_cache.configure(tmp_path)
-        engine.trace_for(NAMES[0], SCALE)
-        suite.evict(NAMES[0], SCALE)   # force the next call to disk
+        with engine.open_trace(NAMES[0], SCALE):
+            pass                       # exit evicts: next call hits disk
         engine.reset_stage_times()
-        trace = engine.trace_for(NAMES[0], SCALE)
+        with engine.open_trace(NAMES[0], SCALE) as trace:
+            pass
         times = engine.stage_times()
         assert times.functional_sim == 0.0
         assert times.cache_hits == 1

@@ -4,8 +4,10 @@ Runs real experiment drivers through the engine twice - sharding off,
 and sharding on at awkward shard sizes / jobs levels - against
 separate temp trace caches, and asserts the *user-visible contract*:
 rendered tables, per-cell metric snapshots, and exported metric
-documents are byte-identical.  Also covers the engine's sharded trace
-handles (manifest-derived cpu.* metrics) and the streaming CLI cells.
+documents are byte-identical.  Also covers the engine's one trace
+accessor (``engine.open_trace``: sharded handles with manifest-derived
+cpu.* metrics, in-RAM traces when sharding is off), the fan-out's
+stage report, and the streaming CLI cells.
 """
 
 import pytest
@@ -98,9 +100,9 @@ class TestShardedTraceHandle:
         shards.set_shard_rows(500)
         registry = metrics.enable()
         try:
-            handle = engine.trace_handle(NAMES[0], SCALE)
-            assert isinstance(handle, shards.ShardedTrace)
-            assert handle.num_shards > 1
+            with engine.open_trace(NAMES[0], SCALE) as handle:
+                assert isinstance(handle, shards.ShardedTrace)
+                assert handle.num_shards > 1
             snapshot = registry.snapshot()
         finally:
             metrics.disable()
@@ -113,17 +115,28 @@ class TestShardedTraceHandle:
             self, tmp_path):
         trace_cache.configure(tmp_path)
         shards.set_shard_rows(0)
-        handle = engine.trace_handle(NAMES[0], SCALE)
-        assert not isinstance(handle, shards.ShardedTrace)
+        with engine.open_trace(NAMES[0], SCALE) as handle:
+            assert not isinstance(handle, shards.ShardedTrace)
+            assert handle.materialize() is handle
 
-    def test_trace_for_materializes_under_sharding(self, tmp_path):
+    def test_handle_materializes_under_sharding(self, tmp_path):
         # Timing/LVC cells need real in-RAM traces even when sharding
-        # is on; trace_for must transparently materialise.
+        # is on; the handle materialises them on request.
         trace_cache.configure(tmp_path)
         shards.set_shard_rows(500)
-        trace = engine.trace_for(NAMES[0], SCALE)
+        with engine.open_trace(NAMES[0], SCALE) as handle:
+            assert isinstance(handle, shards.ShardedTrace)
+            trace = handle.materialize()
         assert not isinstance(trace, shards.ShardedTrace)
-        assert trace.has_columns and len(trace) > 0
+        assert trace.has_columns and len(trace) == len(handle)
+
+    def test_exit_evicts_only_its_own_entry(self):
+        shards.set_shard_rows(0)
+        suite.run(NAMES[1], SCALE)
+        with engine.open_trace(NAMES[0], SCALE):
+            pass
+        assert not suite.evict(NAMES[0], SCALE)
+        assert suite.evict(NAMES[1], SCALE)
 
 
 class TestStreamingCliCells:
@@ -142,13 +155,36 @@ class TestStreamingCliCells:
             name, SCALE, api_session.DEFAULT_SCHEME) == plain_predict
 
 
+def _count_partial(name, scale, chunk, index):
+    return index, len(chunk)
+
+
+def _count_fold(name, scale, partials):
+    return name, partials
+
+
 class TestFanOutResilience:
-    def test_run_cells_sharded_requires_fallback_without_sharding(
-            self):
-        shards.set_shard_rows(0)
-        with pytest.raises(ValueError):
-            engine.run_cells_sharded(lambda *a: None, lambda *a: None,
-                                     NAMES, SCALE)
+    def test_run_cells_sharded_folds_without_fanout(self, tmp_path):
+        # Without sharding, or without a disk cache for the workers to
+        # read shards from, each workload is one cell folding the same
+        # (partial, fold) pair over its handle's chunks in order.
+        for shard_rows, cache in ((0, tmp_path), (500, None)):
+            trace_cache.configure(cache)
+            shards.set_shard_rows(shard_rows)
+            engine.reset_stage_times()
+            results = engine.run_cells_sharded(
+                _count_partial, _count_fold, NAMES, SCALE, jobs=1)
+            assert engine.stage_times().cells == len(NAMES)
+            for (name, partials), expected in zip(results, NAMES):
+                assert name == expected
+                assert [index for index, _ in partials] \
+                    == list(range(len(partials)))
+                if shard_rows:
+                    assert len(partials) > 1
+                    assert all(rows <= shard_rows
+                               for _, rows in partials)
+                else:
+                    assert len(partials) == 1
 
     def test_shard_counters_reported_in_resilience(self, tmp_path):
         trace_cache.configure(tmp_path)
@@ -159,3 +195,32 @@ class TestFanOutResilience:
         assert snap["trace.shards.loaded"] > 0
         assert snap["trace.shards.corrupt"] == 0
         assert "trace.cache.evictions" in snap
+
+
+def _stage_report(cache_dir, shard_rows):
+    """Warm-cache figure2 stage report: (title line, per-cell lines)."""
+    trace_cache.configure(cache_dir)
+    shards.set_shard_rows(shard_rows)
+    experiments.figure2(scale=SCALE, names=NAMES, jobs=1)   # warm up
+    engine.reset_stage_times()
+    engine.reset_fault_stats()
+    experiments.figure2(scale=SCALE, names=NAMES, jobs=1)
+    lines = engine.render_stage_report().splitlines()
+    per_cell = lines[lines.index("per-cell:") + 1:]
+    per_cell = [line for line in per_cell
+                if not line.startswith("resilience:")]
+    return lines[0], per_cell
+
+
+class TestFanOutStageReport:
+    def test_sharded_report_matches_unsharded(self, tmp_path):
+        # The shard and combine cells are parts of their workload's
+        # cell: they must not add cells or count their manifest opens
+        # as trace-cache hits.
+        title, per_cell = _stage_report(tmp_path, 0)
+        sharded_title, sharded_per_cell = _stage_report(tmp_path, 1000)
+        assert f"{len(NAMES)} cells" in title
+        assert f"({len(NAMES)} hits / 0 misses)" in title
+        assert sharded_title == title
+        assert sharded_per_cell == per_cell
+        assert len(per_cell) == len(NAMES)

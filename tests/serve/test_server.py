@@ -9,8 +9,12 @@ import time
 
 import pytest
 
+import json
+
 from repro import api
 from repro.cli import main
+from repro.predictor.schemes import ALL_SCHEMES
+from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import CONTROL_OPS, ReproServer
 from repro.workloads import suite
@@ -185,6 +189,63 @@ class TestAdmissionControl:
             ReproServer(max_inflight=0)
         with pytest.raises(ValueError):
             ReproServer(queue_depth=-1)
+
+
+class TestWarmReadiness:
+    #: The five programs of the repository benchmark's serve workload.
+    PROGRAMS = ("go_ai", "ccomp", "lisp", "db_vortex", "swim_fp")
+    WARM_SCALE = 0.05
+
+    def test_warmed_daemon_admits_first_time_requests(self, tmp_path):
+        """Warm-up loads stay out of the admission window.
+
+        The window's sample floor is set to the warm-up's size, so
+        were the five warm loads counted as misses the daemon would
+        read a 0% hit rate, latch ``degraded`` and shed every
+        first-time (not yet memoised) request with a 503.
+        """
+        manifest = tmp_path / "warm.json"
+        session = api.Session(resident=True)
+        server = ReproServer(
+            session, port=0, warm_manifest=manifest,
+            admission=AdmissionController(
+                min_window_events=len(self.PROGRAMS)))
+        address = server.start()
+        try:
+            session.warm([(name, self.WARM_SCALE)
+                          for name in self.PROGRAMS])
+            combos = [(name, scheme.name) for scheme in ALL_SCHEMES
+                      for name in self.PROGRAMS][:16]
+            statuses = [None] * len(combos)
+
+            def send(slot):
+                name, scheme = combos[slot]
+                with ServeClient(address) as client:
+                    statuses[slot] = client.call(
+                        "predict", names=[name], scheme=scheme,
+                        scale=self.WARM_SCALE)["status"]
+
+            threads = [threading.Thread(target=send, args=(slot,))
+                       for slot in range(len(combos))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            with ServeClient(address) as client:
+                health = client.health()
+        finally:
+            server.shutdown(drain=True)
+            suite.clear_caches()
+        assert statuses == [200] * len(combos)
+        assert health["status"] == "ok"
+        assert health["admission"]["window"]["misses"] == 0
+        # Warm-up loads still count as trace misses and still update
+        # the persisted warm set.
+        assert session.metrics.snapshot()["api.trace.misses"]["value"] \
+            == len(self.PROGRAMS)
+        warmed = json.loads(manifest.read_text())["pairs"]
+        assert sorted(name for name, _ in warmed) \
+            == sorted(self.PROGRAMS)
 
 
 class TestShutdown:

@@ -1,13 +1,17 @@
-"""Shard-streamed reductions vs. the in-RAM columnar path.
+"""Chunk-folded reductions at every shard size.
 
-Every analysis that accepts a :class:`ShardedTrace` - the Figure 2
-region breakdown, single-region PC hints, Table 2 window statistics,
-and the full predictor replay - must produce results *identical* to
-the monolithic in-RAM computation at any shard size, including shard
+Every analysis is one fold over the trace's chunks (an in-RAM trace is
+a single chunk) - the Figure 2 region breakdown, single-region PC
+hints, Table 2 window statistics, and the full predictor replay - and
+must produce results *identical* at any shard size, including shard
 boundaries that split a region run, a sliding window, or an ARPT
-entry's counter history.  Fixed seeds pin the carry-state contracts;
-hypothesis hunts boundary cases (empty traces, shards smaller than
-the window, single-element shards).
+entry's counter history.  :class:`TestScalarOracles` pins every shard
+size against the independent record-at-a-time references
+(:class:`RegionClassifier`, :class:`SlidingWindowProfiler`,
+``evaluate_scheme_scalar``); the other classes compare shard sizes
+with the single-chunk fold.  Fixed seeds pin the carry-state
+contracts; hypothesis hunts boundary cases (empty traces, shards
+smaller than the window, single-element shards).
 """
 
 import random
@@ -17,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictor.evaluate import (evaluate_scheme,
+                                      evaluate_scheme_scalar,
                                       occupancy_by_context)
 from repro.predictor.hints import hints_from_trace
 from repro.predictor.schemes import ALL_SCHEMES
 from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_HEAP, REGION_STACK,
                                  Trace, TraceRecord)
-from repro.trace.regions import (region_breakdown, single_region_pcs)
+from repro.trace.regions import (RegionClassifier, region_breakdown,
+                                 single_region_pcs)
 from repro.trace.shards import shard_trace
-from repro.trace.windows import window_stats
+from repro.trace.windows import SlidingWindowProfiler, window_stats
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 
@@ -61,6 +67,49 @@ def _random_trace(seed: int, n: int = 600) -> Trace:
                 region=region,
                 ra=0x400008 + 8 * rng.randrange(3)))
     return Trace(f"stream{seed}", records)
+
+
+class TestScalarOracles:
+    """Each shard size - and the in-RAM single chunk (``None``) -
+    against the scalar references, not against another chunking."""
+
+    @staticmethod
+    def _chunked(trace, shard_rows):
+        return trace if shard_rows is None \
+            else shard_trace(trace, shard_rows)
+
+    @pytest.mark.parametrize("shard_rows", (None,) + SHARD_SIZES)
+    def test_regions_match_classifier(self, shard_rows):
+        trace = _random_trace(41)
+        classifier = RegionClassifier()
+        classifier.observe_trace(trace.records)
+        chunked = self._chunked(trace, shard_rows)
+        assert region_breakdown(chunked) \
+            == classifier.breakdown(trace.name)
+        assert single_region_pcs(chunked) \
+            == classifier.single_region_pcs()
+
+    @pytest.mark.parametrize("shard_rows", (None,) + SHARD_SIZES)
+    @pytest.mark.parametrize("window", (1, 5, 32))
+    def test_windows_match_profiler(self, shard_rows, window):
+        trace = _random_trace(42)
+        profiler = SlidingWindowProfiler(window)
+        profiler.observe_trace(trace.records)
+        assert window_stats(self._chunked(trace, shard_rows), window) \
+            == profiler.result(trace.name)
+
+    @pytest.mark.parametrize("shard_rows", (None,) + SHARD_SIZES)
+    @pytest.mark.parametrize("scheme",
+                             sorted(s.name for s in ALL_SCHEMES))
+    def test_replay_matches_scalar(self, shard_rows, scheme):
+        trace = _random_trace(43)
+        chunked = self._chunked(trace, shard_rows)
+        hints = hints_from_trace(trace)
+        for kwargs in ({}, {"table_size": 8}, {"hints": hints},
+                       {"gbh_bits": 3, "cid_bits": 4}):
+            assert evaluate_scheme(chunked, scheme, **kwargs) \
+                == evaluate_scheme_scalar(trace, scheme, **kwargs), \
+                kwargs
 
 
 class TestRegionStreaming:
