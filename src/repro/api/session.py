@@ -38,14 +38,13 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro import eval as evaluation
-from repro import metrics
+from repro import config, metrics
 from repro.eval import engine
 from repro.eval.result import ExperimentResult
 from repro.obs import spans
 from repro.predictor import evaluate_scheme, scheme_by_name
 from repro.timing import figure8_configs, simulate
 from repro.trace import cache as trace_cache
-from repro.trace import shards as trace_shards
 from repro.trace.records import Trace
 from repro.trace.regions import region_breakdown
 from repro.trace.windows import window_stats
@@ -399,12 +398,12 @@ class Session:
                  shard_rows: Optional[int] = None) -> None:
         self.resident = resident
         self.jobs = jobs if jobs is not None else (1 if resident else None)
-        # ``shard_rows`` mirrors the CLI's ``--shard-rows``: a process-
-        # wide knob (like the engine's jobs default), applied here so
+        # ``shard_rows`` mirrors the CLI's ``--shard-rows``: one field
+        # of the process-wide configuration, installed here so
         # programmatic sessions stream out-of-core without touching the
         # environment.  None defers to $REPRO_SHARD_ROWS / off.
         if shard_rows is not None:
-            trace_shards.set_shard_rows(shard_rows)
+            config.install(config.active().replace(shard_rows=shard_rows))
         #: The session-private metrics registry (always collecting;
         #: independent of the process-global ``repro.metrics`` switch).
         self.metrics = registry if registry is not None \

@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import os
 import signal
 import sys
 import threading
@@ -101,7 +100,7 @@ import traceback
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import __version__, api, metrics
+from repro import __version__, api, config, metrics
 from repro.compiler import compile_source
 from repro.cpu import run_program
 from repro.eval import engine, reporting
@@ -110,8 +109,6 @@ from repro.obs import manifest as run_manifest
 from repro.obs import profile as obs_profile
 from repro.obs import spans
 from repro.testing import faults as fault_injection
-from repro.trace import cache as trace_cache
-from repro.trace import shards as trace_shards
 from repro.workloads import suite
 
 _STATS_FORMATS = ("table", "json", "csv")
@@ -163,16 +160,16 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs", type=_positive_jobs, default=None, metavar="N",
         help="run independent workload cells across N processes "
-             f"(default: ${engine.JOBS_ENV_VAR} or 1)")
+             "(default: $REPRO_JOBS or 1)")
     common.add_argument(
         "--trace-cache", metavar="DIR", default=None,
         help="archive functional traces in DIR and reuse them on "
-             f"later runs (default: ${trace_cache.ENV_VAR})")
+             "later runs (default: $REPRO_TRACE_CACHE)")
     common.add_argument(
         "--shard-rows", type=_shard_rows, default=None, metavar="R",
         help="stream traces as bounded R-row shards so peak memory "
              "stays independent of trace length; 0 disables "
-             f"(default: ${trace_shards.ENV_VAR} or off)")
+             "(default: $REPRO_SHARD_ROWS or off)")
     common.add_argument(
         "--metrics-out", metavar="FILE", default=None,
         help="collect metrics during the run and export them to FILE "
@@ -186,11 +183,11 @@ def _common_parser() -> argparse.ArgumentParser:
         default=None,
         help="deterministic fault-injection drill, e.g. "
              "'crash:index=1' or 'corrupt:name=db_vortex' "
-             f"(default: ${fault_injection.ENV_VAR})")
+             "(default: $REPRO_INJECT_FAULT)")
     common.add_argument(
         "--trace-spans", metavar="DIR", default=None,
         help="write a run manifest and span journal to DIR for "
-             f"'repro profile DIR' (default: ${spans.ENV_VAR})")
+             "'repro profile DIR' (default: $REPRO_TRACE_SPANS)")
     return common
 
 
@@ -318,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the daemon is warmed and serving "
                             "(removed again on exit)")
     serve.add_argument("--deadline-ms", type=float, default=None,
-                       metavar="MS",
+                       metavar="MS", dest="serve_deadline_ms",
                        help="default per-request deadline when the "
                             "client sets no timeout_ms; past it the "
                             "request gets a 504 with partial stage "
@@ -442,18 +439,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- shared plumbing ----------------------------------------------------
 
+#: Flags whose destinations are :class:`repro.config.Config` fields.
+_CONFIG_FLAGS = ("jobs", "trace_cache", "shard_rows", "checkpoint",
+                 "inject_fault", "trace_spans", "serve_deadline_ms")
+
+
+def _install_config(args) -> config.Config:
+    """The run's configuration - flag > ``REPRO_*`` > default - built
+    once and installed process-wide."""
+    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS
+             if getattr(args, name, None) is not None}
+    return config.install(config.Config.from_env().replace(**flags))
+
+
 def _apply_common(args) -> None:
-    """Apply the shared flags: trace cache, jobs, fresh accumulators."""
-    if getattr(args, "trace_cache", None):
-        trace_cache.configure(args.trace_cache)
-    if getattr(args, "jobs", None) is not None:
-        engine.set_jobs(args.jobs)
-    if getattr(args, "shard_rows", None) is not None:
-        trace_shards.set_shard_rows(args.shard_rows)
-    if getattr(args, "checkpoint", None):
-        engine.set_checkpoint(args.checkpoint)
-    if getattr(args, "inject_fault", None):
-        fault_injection.install(args.inject_fault)
+    """Fresh per-run accumulators (the flags live in the config)."""
     engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()           # drop any stale per-cell snapshots
@@ -691,7 +691,6 @@ def _cmd_serve(args) -> int:
                          unix_socket=args.unix_socket,
                          max_inflight=args.workers,
                          queue_depth=args.queue,
-                         deadline_ms=args.deadline_ms,
                          idle_timeout_s=args.idle_timeout,
                          warm_manifest=args.warm_manifest,
                          telemetry_path=args.telemetry,
@@ -806,31 +805,31 @@ def _cmd_bench_load(args) -> int:
 # -- entry point --------------------------------------------------------
 
 def _observed(args, argv: Optional[List[str]]) -> int:
-    """Run the handler, tracing it when ``--trace-spans`` (or the
-    environment) names a run directory.
+    """Install the run's configuration, then run the handler, tracing
+    it when ``--trace-spans`` (or the environment) names a run
+    directory.
 
     Tracing is strictly additive: the manifest and span journal go to
     the run directory, the root CLI span wraps the whole handler, and
     worker journals are merged when the tracer is torn down - stdout
     and every export stay byte-identical to an untraced run.
     """
-    directory = getattr(args, "trace_spans", None) \
-        or os.environ.get(spans.ENV_VAR)
-    if not directory:
+    cfg = _install_config(args)
+    directory = cfg.trace_spans
+    if directory is None:
         return args.handler(args)
     tracer = spans.enable(directory)
     experiment = getattr(args, "id", None)
     scale = getattr(args, "scale", None)
     if scale is None:
         scale = getattr(args, "default_scale", None)
-    jobs = getattr(args, "jobs", None)
     run_manifest.write_manifest(directory, run_manifest.build_manifest(
         run_id=tracer.run_id,
         command=args.command,
         argv=argv if argv is not None else sys.argv[1:],
         experiment=experiment,
         scale=scale,
-        jobs=jobs if jobs is not None else engine.get_jobs(),
+        jobs=cfg.jobs,
     ))
     try:
         with spans.span(f"cli:{args.command}", experiment=experiment,

@@ -19,11 +19,11 @@ quarantined (renamed aside) and treated as missing: a corrupt journal
 costs a re-run, never a crash and never wrong data.
 
 Growth is bounded: with a byte quota set (the ``max_bytes``
-constructor argument, or the ``REPRO_CHECKPOINT_MAX_BYTES``
-environment variable), every record that pushes the journal past the
-quota rotates the *oldest* entries aside into quarantine - where the
-standard expiry GC (:mod:`repro.quarantine`) reclaims them - until
-the journal fits again.  Rotated cells simply re-run on the next
+constructor argument, or the configuration's ``checkpoint_max_bytes``
+- ``REPRO_CHECKPOINT_MAX_BYTES``), every record that pushes the
+journal past the quota rotates the *oldest* entries aside into
+quarantine - where the standard expiry GC (:mod:`repro.quarantine`)
+reclaims them - until the journal fits again.  Rotated cells simply re-run on the next
 resume; a full disk never becomes a crashed sweep.
 """
 
@@ -36,29 +36,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
-from repro import quarantine
+from repro import config, quarantine
 
 #: Bump to invalidate every existing journal entry at once.
 FORMAT_VERSION = 2
 
 #: Journal file suffix (entries are ``<digest>.cell``).
 SUFFIX = ".cell"
-
-#: Environment variable bounding total journal bytes (0/unset = off).
-ENV_MAX_BYTES = "REPRO_CHECKPOINT_MAX_BYTES"
-
-
-def default_max_bytes() -> int:
-    """The ``REPRO_CHECKPOINT_MAX_BYTES`` quota (0 = unbounded)."""
-    raw = os.environ.get(ENV_MAX_BYTES)
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value > 0 else 0
-
 
 @dataclass
 class JournalStats:
@@ -116,7 +100,7 @@ class CellJournal:
                 f"checkpoint path {self.directory} exists and is not "
                 f"a directory")
         self.max_bytes = max_bytes if max_bytes is not None \
-            else default_max_bytes()
+            else config.active().checkpoint_max_bytes
         self.stats = JournalStats()
         # Opening a journal garbage-collects expired quarantined
         # entries (same knobs as the trace cache: see

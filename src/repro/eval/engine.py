@@ -3,9 +3,10 @@
 Every experiment driver decomposes into independent *cells* - one
 ``(workload, ...)`` unit of work whose result does not depend on any
 other cell.  This module runs those cells either serially or across a
-``ProcessPoolExecutor`` (``--jobs N`` on the CLI, :func:`set_jobs`
-programmatically), always returning results in the caller's submission
-order so rendered tables are byte-identical at any parallelism.
+``ProcessPoolExecutor`` (``--jobs N`` on the CLI, the ``jobs`` field
+of :mod:`repro.config`), always returning results in the caller's
+submission order so rendered tables are byte-identical at any
+parallelism.
 
 Execution is fault-tolerant (policy in :mod:`repro.eval.faults`):
 
@@ -25,7 +26,7 @@ a run that survived retries, rebuilds, and serial fallback renders
 tables and exports metrics byte-identical to an undisturbed one.
 Recovery counters are exposed via :func:`resilience_snapshot`.
 
-With a checkpoint journal configured (:func:`set_checkpoint`, the
+With a checkpoint journal configured (the ``checkpoint`` field, the
 CLI's ``--checkpoint DIR``), every completed cell is journalled to
 disk as it finishes and a re-run replays journalled cells instead of
 executing them - an interrupted sweep resumes with only the missing
@@ -39,22 +40,18 @@ trace cache and the fan-out are directly measurable
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import metrics
+from repro import config, metrics
 from repro.eval import checkpoint, faults, reporting
 from repro.obs import spans
 from repro.testing import faults as fault_injection
@@ -63,51 +60,6 @@ from repro.trace import shards
 from repro.trace.records import Trace
 from repro.trace.shards import ShardedTrace
 from repro.workloads import suite
-
-#: Environment variable providing the default worker count.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-_jobs: Optional[int] = None
-
-#: Invalid REPRO_JOBS values already warned about (warn once per value).
-_warned_jobs: Set[str] = set()
-
-
-def set_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default worker count (None = env/serial)."""
-    global _jobs
-    _jobs = jobs
-
-
-def _warn_invalid_jobs(raw: str) -> None:
-    if raw in _warned_jobs:
-        return
-    _warned_jobs.add(raw)
-    warnings.warn(
-        f"ignoring invalid {JOBS_ENV_VAR}={raw!r} (expected an integer "
-        f">= 1); running serial",
-        RuntimeWarning, stacklevel=3)
-
-
-def get_jobs() -> int:
-    """The effective default worker count (>= 1).
-
-    A ``REPRO_JOBS`` value that is not an integer >= 1 is reported
-    once per distinct value and treated as 1 - never silently coerced.
-    """
-    if _jobs is not None:
-        return max(1, _jobs)
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        _warn_invalid_jobs(raw)
-        return 1
-    if value < 1:
-        _warn_invalid_jobs(raw)
-        return 1
-    return value
-
 
 # -- per-stage timing ---------------------------------------------------
 
@@ -172,7 +124,8 @@ _stages = StageTimes()
 #: Process-local recovery counters for the current driver invocation.
 _faults = faults.FaultStats()
 
-#: Active checkpoint journal (None = checkpointing off).
+#: The journal for the configured checkpoint directory (rebuilt when
+#: the directory changes).
 _journal: Optional[checkpoint.CellJournal] = None
 
 #: Per-cell ``[cache hits, cache misses, checkpoint replays]`` in
@@ -209,25 +162,26 @@ def stage_times() -> StageTimes:
 
 def reset_fault_stats() -> None:
     """Zero the per-invocation recovery counters, including the
-    module-global shard I/O tallies they surface."""
+    shard I/O tallies and checkpoint-journal counters they surface."""
     global _faults
     _faults = faults.FaultStats()
     shards.STATS.reset()
+    if _journal is not None:
+        _journal.reset_stats()
 
 
 def fault_stats() -> faults.FaultStats:
     return _faults
 
 
-def set_checkpoint(directory: Union[str, Path, None])\
-        -> Optional[checkpoint.CellJournal]:
-    """Journal completed cells under ``directory`` (None = off)."""
-    global _journal
-    _journal = checkpoint.CellJournal(directory) if directory else None
-    return _journal
-
-
 def active_journal() -> Optional[checkpoint.CellJournal]:
+    """The journal in the configured checkpoint directory, or None."""
+    global _journal
+    directory = config.active().checkpoint
+    if directory is None:
+        return None
+    if _journal is None or _journal.directory != directory:
+        _journal = checkpoint.CellJournal(directory)
     return _journal
 
 
@@ -251,14 +205,14 @@ def resilience_snapshot() -> Dict[str, int]:
     if cache is not None:
         snap["trace.cache.quarantine_gc"] = cache.stats.quarantine_gc
         snap["trace.cache.evictions"] = cache.stats.evictions
-    if _journal is not None:
-        snap["checkpoint.hits"] = _journal.stats.hits
-        snap["checkpoint.misses"] = _journal.stats.misses
-        snap["checkpoint.corrupt"] = _journal.stats.corrupt
-        snap["checkpoint.quarantine_gc"] = \
-            _journal.stats.quarantine_gc
+    journal = active_journal()
+    if journal is not None:
+        snap["checkpoint.hits"] = journal.stats.hits
+        snap["checkpoint.misses"] = journal.stats.misses
+        snap["checkpoint.corrupt"] = journal.stats.corrupt
+        snap["checkpoint.quarantine_gc"] = journal.stats.quarantine_gc
         snap["checkpoint.quota_evictions"] = \
-            _journal.stats.quota_evictions
+            journal.stats.quota_evictions
     return snap
 
 
@@ -338,13 +292,13 @@ def _fetch(name: str, scale: float):
     through the active cache, memory-chunked without one), off an
     in-RAM :class:`Trace`."""
     cache = trace_cache.active_cache()
-    sharded = shards.sharding_enabled()
+    shard_rows = config.active().shard_rows
+    sharded = shard_rows > 0
     with spans.span("trace:fetch", workload=name, sharded=sharded) as sp:
         if cache is None:
             started = time.perf_counter()
             if sharded:
-                writer = shards.MemoryShardWriter(
-                    name, shards.get_shard_rows())
+                writer = shards.MemoryShardWriter(name, shard_rows)
                 trace = shards.simulate_sharded(name, scale, writer)
             else:
                 trace = suite.run(name, scale)
@@ -353,8 +307,7 @@ def _fetch(name: str, scale: float):
         else:
             before = cache.stats.snapshot()
             if sharded:
-                trace = cache.fetch_sharded(name, scale,
-                                            shards.get_shard_rows())
+                trace = cache.fetch_sharded(name, scale, shard_rows)
             else:
                 trace = cache.fetch(name, scale, producer=suite.run)
             _stages.functional_sim += cache.stats.sim_seconds \
@@ -403,38 +356,24 @@ def open_trace(name: str, scale: float) -> Iterator:
 
 # -- cell fan-out -------------------------------------------------------
 
-def _init_worker(cache_directory: Optional[str],
-                 environ_cache: Optional[str],
-                 fault_spec: Optional[str] = None,
-                 obs_state: Optional[tuple] = None,
-                 shard_rows: Optional[int] = None) -> None:
-    """Worker bootstrap: mirror the parent's trace-cache decision,
-    fault-injection plan, and span-tracing state.
+def _init_worker(cfg: config.Config,
+                 obs_state: Optional[tuple] = None) -> None:
+    """Worker bootstrap: install the parent's configuration (so the
+    worker's own environment never matters, under any start method)
+    and mirror its span-tracing state.
 
-    Needed for spawn/forkserver start methods, and to propagate a
-    ``configure()``-time cache that never reached the environment.
     ``obs_state`` is :func:`repro.obs.spans.worker_state` output: the
     worker journals spans locally (``spans-<pid>.jsonl``) with its
     top-level spans parented to the engine span that spawned the pool;
     the parent merges worker journals at finalisation.  The state
-    tuple also carries the parent's active request context
-    (``request_id``/attempt, when the pool serves a daemon request)
-    and incarnation id, which the worker re-binds so its spans stay
+    tuple also carries the parent's active request context and
+    incarnation id, which the worker re-binds so its spans stay
     greppable by the same client ``request_id`` - the engine passes
     the tuple through blindly and stays ignorant of its shape.
     """
-    if cache_directory is not None:
-        trace_cache.configure(cache_directory)
-    elif environ_cache is not None:
-        os.environ[trace_cache.ENV_VAR] = environ_cache
-    else:
-        trace_cache.configure(None)
-    if fault_spec:
-        fault_injection.install(fault_spec)
+    config.install(cfg)
     if obs_state is not None:
         spans.enable_worker(*obs_state)
-    if shard_rows is not None:
-        shards.set_shard_rows(shard_rows)
 
 
 def _swap_stages(new: StageTimes) -> StageTimes:
@@ -629,11 +568,7 @@ def _run_pool(worker: Callable, names: Sequence[str], scale: float,
     pending = list(indices)
     attempts = {i: 0 for i in pending}
     rebuilds = 0
-    cache = trace_cache.active_cache()
-    cache_dir = str(cache.directory) if cache is not None else None
-    environ_cache = os.environ.get(trace_cache.ENV_VAR)
-    fault_spec = fault_injection.active_spec()
-    obs_state = spans.worker_state()
+    initargs = (config.active(), spans.worker_state())
     while pending:
         if rebuilds > policy.max_pool_rebuilds:
             _faults.serial_fallbacks += 1
@@ -642,9 +577,7 @@ def _run_pool(worker: Callable, names: Sequence[str], scale: float,
             return
         pool = ProcessPoolExecutor(
             max_workers=min(max_workers, len(pending)),
-            initializer=_init_worker,
-            initargs=(cache_dir, environ_cache, fault_spec, obs_state,
-                      shards.get_shard_rows()))
+            initializer=_init_worker, initargs=initargs)
         futures = {i: pool.submit(_run_cell, worker, names[i], scale,
                                   args, collect, i, attempts[i])
                    for i in pending}
@@ -743,10 +676,17 @@ def run_cells(worker: Callable, names: Sequence[str], scale: float,
     from disk (restoring their recorded stage times and metric
     snapshots) and only the missing cells execute.
     """
-    names = list(names)
+    return _run_cells(worker, list(names), scale, args, jobs,
+                      active_journal())
+
+
+def _run_cells(worker: Callable, names: List[str], scale: float,
+               args: tuple, jobs: Optional[int],
+               journal: Optional[checkpoint.CellJournal]) -> List[object]:
+    """:func:`run_cells` against an explicit journal (None = off)."""
+    cfg = config.active()
     collect = metrics.active().enabled
-    policy = faults.active_policy()
-    journal = _journal
+    policy = cfg.retry
     outcomes: Dict[int, tuple] = {}
     pending: List[int] = []
     with spans.span("engine:run_cells", cells=len(names)) as run_span:
@@ -763,7 +703,7 @@ def run_cells(worker: Callable, names: Sequence[str], scale: float,
             else:
                 pending.append(i)
         if pending:
-            effective = jobs if jobs is not None else get_jobs()
+            effective = jobs if jobs is not None else cfg.jobs
             effective = max(1, min(effective, len(pending)))
             run_span.set("jobs", effective)
             if effective <= 1 or len(pending) <= 1:
@@ -821,7 +761,7 @@ def _shard_cell(pseudo: str, scale: float, partial: Callable,
     index = int(index)
     started = time.perf_counter()
     trace = trace_cache.active_cache().load_sharded(
-        name, scale, shards.get_shard_rows())
+        name, scale, config.active().shard_rows)
     if trace is None:       # evicted or quarantined since pass 1
         trace = _fetch(name, scale)
     chunk = trace.chunk(index)
@@ -869,7 +809,7 @@ def run_cells_sharded(partial: Callable, fold: Callable,
     counts one cell per workload either way: the shard and combine
     cells are parts of their workload's cell.
     """
-    if (not shards.sharding_enabled()
+    if (not config.active().shard_rows
             or trace_cache.active_cache() is None):
         return run_cells(_fold_cell, names, scale, partial, fold, *args,
                          jobs=jobs)
@@ -890,11 +830,8 @@ def run_cells_sharded(partial: Callable, fold: Callable,
         # from the journalled shard cells - journalling it would key
         # entries on the partials themselves (huge, repr-truncated),
         # so it always re-runs instead.
-        global _journal
-        journal, _journal = _journal, None
         try:
-            return run_cells(_combine_cell, names, scale, fold,
-                             partials, *args, jobs=1)
+            return _run_cells(_combine_cell, names, scale,
+                              (fold, partials, *args), 1, None)
         finally:
-            _journal = journal
             _stages.cells = cells

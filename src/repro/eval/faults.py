@@ -10,12 +10,9 @@ execution for the remaining cells.  This module holds the knobs
 (:class:`FaultStats`) the engine exposes through
 ``engine.resilience_snapshot()``.
 
-Environment variables (read once per :func:`from_env` call)::
-
-    REPRO_RETRIES        per-cell retry budget        (default 2)
-    REPRO_RETRY_BACKOFF  first backoff delay, seconds (default 0.05)
-    REPRO_CELL_TIMEOUT   per-cell timeout, seconds    (default off)
-    REPRO_POOL_REBUILDS  pool rebuilds before serial  (default 2)
+The policy is the ``retry`` field of :class:`repro.config.Config`
+(``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_CELL_TIMEOUT``,
+``REPRO_POOL_REBUILDS``; see the README's Configuration table).
 
 Backoff is deterministic (no jitter): ``base * 2**(attempt-1)``
 capped at :attr:`RetryPolicy.backoff_max`.  Tests monkeypatch
@@ -24,16 +21,10 @@ capped at :attr:`RetryPolicy.backoff_max`.  Tests monkeypatch
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Optional
 
-#: Environment variables configuring the default policy.
-RETRIES_ENV_VAR = "REPRO_RETRIES"
-BACKOFF_ENV_VAR = "REPRO_RETRY_BACKOFF"
-TIMEOUT_ENV_VAR = "REPRO_CELL_TIMEOUT"
-REBUILDS_ENV_VAR = "REPRO_POOL_REBUILDS"
+from repro.config import RetryPolicy
 
 #: Injectable sleep so tests can assert backoff without waiting.
 _sleep = time.sleep
@@ -46,66 +37,6 @@ class CellFailure(RuntimeError):
 
 class CellTimeout(CellFailure):
     """A cell exceeded the per-cell timeout on every attempt."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Engine fault-tolerance knobs (immutable; swap whole policies)."""
-
-    max_retries: int = 2            # re-runs after the first attempt
-    backoff_base: float = 0.05      # seconds before the first retry
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    cell_timeout: Optional[float] = None   # None = no timeout
-    max_pool_rebuilds: int = 2      # rebuilds before serial fallback
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based)."""
-        delay = self.backoff_base \
-            * self.backoff_factor ** max(0, attempt - 1)
-        return min(self.backoff_max, delay)
-
-
-def _env_int(var: str, default: int) -> int:
-    try:
-        return max(0, int(os.environ.get(var, default)))
-    except ValueError:
-        return default
-
-
-def _env_float(var: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(var)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-def from_env() -> RetryPolicy:
-    """A policy built from the ``REPRO_*`` environment variables."""
-    return RetryPolicy(
-        max_retries=_env_int(RETRIES_ENV_VAR, 2),
-        backoff_base=_env_float(BACKOFF_ENV_VAR, 0.05),
-        cell_timeout=_env_float(TIMEOUT_ENV_VAR, None),
-        max_pool_rebuilds=_env_int(REBUILDS_ENV_VAR, 2),
-    )
-
-
-_policy: Optional[RetryPolicy] = None
-
-
-def set_policy(policy: Optional[RetryPolicy]) -> None:
-    """Set the process-wide policy (None = rebuild from environment)."""
-    global _policy
-    _policy = policy
-
-
-def active_policy() -> RetryPolicy:
-    """The policy in effect: explicit :func:`set_policy` > environment."""
-    return _policy if _policy is not None else from_env()
 
 
 @dataclass

@@ -4,8 +4,9 @@ A manifest is one small JSON document written next to the span journal
 at the start of a traced run, recording everything needed to interpret
 or reproduce it: the command and arguments, experiment id, scale,
 worker count, seed, git revision, interpreter and platform, the
-``REPRO_*`` environment, and the wall-clock / monotonic anchors that
-place the journal's monotonic timestamps in real time.
+resolved :class:`repro.config.Config` the run used, and the
+wall-clock / monotonic anchors that place the journal's monotonic
+timestamps in real time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Union
+
+from repro import config
 
 #: Version of the manifest document layout.
 SCHEMA_VERSION = 1
@@ -60,8 +63,7 @@ def build_manifest(run_id: str, command: str,
         "platform": platform.platform(),
         "started_unix": time.time(),
         "started_monotonic": time.monotonic(),
-        "env": {key: value for key, value in sorted(os.environ.items())
-                if key.startswith("REPRO_")},
+        "config": config.active().as_dict(),
     }
 
 

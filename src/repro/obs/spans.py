@@ -52,10 +52,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro import metrics
-
-#: Environment variable naming the default span-journal directory.
-ENV_VAR = "REPRO_TRACE_SPANS"
+from repro import config, metrics
 
 #: Environment variable carrying the daemon incarnation id (stamped by
 #: the serve supervisor before each child spawn; the server falls back
@@ -68,25 +65,11 @@ JOURNAL = "spans.jsonl"
 #: Prefix of per-worker journal files merged by the parent.
 WORKER_PREFIX = "spans-"
 
-#: Size bound (bytes) for one journal segment; 0/unset = unbounded.
-#: On overflow the journal rotates to ``<name>.old`` (one rotated
-#: segment kept), so ``--trace-spans`` stays bounded on long sharded
+#: Suffix of the single rotated journal segment: once a segment would
+#: exceed ``span_max_bytes`` (``REPRO_SPAN_MAX_BYTES``, 0 = unbounded)
+#: it moves aside, so ``--trace-spans`` stays bounded on long sharded
 #: sweeps at the cost of dropping the oldest spans.
-MAX_BYTES_ENV_VAR = "REPRO_SPAN_MAX_BYTES"
-
-#: Suffix of the single rotated journal segment.
 ROTATED_SUFFIX = ".old"
-
-
-def _env_max_bytes() -> int:
-    raw = os.environ.get(MAX_BYTES_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value > 0 else 0
 
 
 def _counter_values(snapshot: Dict[str, dict]) -> Dict[str, float]:
@@ -284,7 +267,7 @@ class SpanTracer:
         self.pid = os.getpid()
         self.default_parent = default_parent
         self.path = self.directory / journal_name
-        self.max_bytes = _env_max_bytes()
+        self.max_bytes = config.active().span_max_bytes
         try:
             self._bytes = os.path.getsize(self.path)
         except OSError:
@@ -333,22 +316,21 @@ class SpanTracer:
             "attrs": span.attrs,
         }, sort_keys=True, default=str)
         with self._write_lock:
-            self._fh.write(line + "\n")
+            self._append(line)
             self._fh.flush()
-            self._bytes += len(line) + 1
-            self._maybe_rotate()
 
-    def _maybe_rotate(self) -> None:
-        """Rotate the journal once it exceeds ``REPRO_SPAN_MAX_BYTES``
-        (call with the write lock held).
+    def _append(self, line: str) -> None:
+        """Write one journal line (write lock held), first rotating
+        the segment if the line would overflow it - so the newest span
+        is always in the live segment."""
+        size = len(line) + 1
+        if self.max_bytes and self._bytes \
+                and self._bytes + size > self.max_bytes:
+            self._rotate()
+        self._fh.write(line + "\n")
+        self._bytes += size
 
-        The current segment moves to ``<name>.old`` - replacing any
-        previous rotation - and writing restarts on a fresh file, so
-        disk usage is bounded by roughly two segments while the newest
-        spans are always retained.
-        """
-        if not self.max_bytes or self._bytes <= self.max_bytes:
-            return
+    def _rotate(self) -> None:
         try:
             self._fh.close()
         except OSError:
@@ -379,7 +361,7 @@ class SpanTracer:
         """
         entries = []
         # Rotated worker segments (``spans-<pid>.jsonl.old``) merge
-        # too - each is bounded by REPRO_SPAN_MAX_BYTES.
+        # too - each is bounded by ``span_max_bytes``.
         worker_files = sorted(self.directory.glob(WORKER_PREFIX
                                                   + "*.jsonl*"))
         for path in worker_files:
@@ -394,11 +376,8 @@ class SpanTracer:
         if entries:
             with self._write_lock:
                 for entry in entries:
-                    line = json.dumps(entry, sort_keys=True)
-                    self._fh.write(line + "\n")
-                    self._bytes += len(line) + 1
+                    self._append(json.dumps(entry, sort_keys=True))
                 self._fh.flush()
-                self._maybe_rotate()
         for path in worker_files:
             try:
                 path.unlink()

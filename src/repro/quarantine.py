@@ -8,54 +8,26 @@ accumulate forever; :func:`collect` bounds them, and both stores run
 it every time a cache/journal is opened.
 
 A quarantined file is deleted when it is older than
-``REPRO_QUARANTINE_MAX_AGE_DAYS`` (default 7 days), and the newest
-``REPRO_QUARANTINE_MAX_FILES`` (default 16) are kept regardless of
-count - whichever bound bites first.  Deletions are counted by the
-opening store's stats and surface in the engine's resilience metrics
-(``trace.cache.quarantine_gc`` / ``checkpoint.quarantine_gc``).
+``quarantine_max_age_days`` (``REPRO_QUARANTINE_MAX_AGE_DAYS``, default
+7 days) or ranks beyond the newest ``quarantine_max_files``
+(``REPRO_QUARANTINE_MAX_FILES``, default 16) - whichever bound bites
+first; both are fields of :class:`repro.config.Config`.  Deletions
+are counted by the opening store's stats and surface in the engine's
+resilience metrics (``trace.cache.quarantine_gc`` /
+``checkpoint.quarantine_gc``).
 Setting the age bound to ``0`` clears every quarantined file on open.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 from typing import Optional, Union
 
-#: Age bound (days) for quarantined files; invalid values fall back.
-ENV_MAX_AGE = "REPRO_QUARANTINE_MAX_AGE_DAYS"
-
-#: Count bound: at most this many quarantined files are kept.
-ENV_MAX_FILES = "REPRO_QUARANTINE_MAX_FILES"
-
-DEFAULT_MAX_AGE_DAYS = 7.0
-DEFAULT_MAX_FILES = 16
+from repro import config
 
 #: Suffix shared by every quarantining store in the repo.
 SUFFIX = ".quarantined"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
 
 
 def collect(directory: Union[str, Path], suffix: str = SUFFIX,
@@ -66,17 +38,18 @@ def collect(directory: Union[str, Path], suffix: str = SUFFIX,
 
     Removes every ``*<suffix>`` file older than ``max_age_days`` plus
     any beyond the newest ``max_files``; returns how many were
-    deleted.  Bounds default to the environment knobs above.  Races
+    deleted.  Bounds default to the active configuration.  Races
     with concurrent collectors (or manual cleanup) are benign: a file
     already gone just isn't counted.
     """
     directory = Path(directory)
     if not directory.is_dir():
         return 0
+    cfg = config.active()
     if max_age_days is None:
-        max_age_days = _env_float(ENV_MAX_AGE, DEFAULT_MAX_AGE_DAYS)
+        max_age_days = cfg.quarantine_max_age_days
     if max_files is None:
-        max_files = _env_int(ENV_MAX_FILES, DEFAULT_MAX_FILES)
+        max_files = cfg.quarantine_max_files
     if now is None:
         now = time.time()
     entries = []

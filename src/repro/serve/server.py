@@ -84,7 +84,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro import __version__, api
+from repro import __version__, api, config
 from repro.metrics import prometheus
 from repro.metrics.registry import Histogram
 from repro.obs import manifest as run_manifest
@@ -119,28 +119,12 @@ Address = Union[Tuple[str, int], str]
 #: Poll interval for socket timeouts (how fast loops notice shutdown).
 _POLL_S = 0.2
 
-#: Default per-request deadline (ms) when the client sets none;
-#: ``0`` disables the server-side default.
-ENV_DEADLINE_MS = "REPRO_SERVE_DEADLINE_MS"
-
 #: How long a *partial* request line may sit before the connection is
 #: dropped as a slow-loris client (seconds).
 DEFAULT_IDLE_TIMEOUT_S = 30.0
 
 #: How long one response write may block before the client is dropped.
 DEFAULT_WRITE_TIMEOUT_S = 30.0
-
-
-def default_deadline_ms() -> float:
-    """The ``REPRO_SERVE_DEADLINE_MS`` default (0 = no deadline)."""
-    raw = os.environ.get(ENV_DEADLINE_MS)
-    if raw is None or not raw.strip():
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        return 0.0
-    return value if value > 0 else 0.0
 
 
 def read_warm_manifest(path: Union[str, Path])\
@@ -195,7 +179,7 @@ class ReproServer:
             else api.Session(resident=True)
         self.registry = self.session.metrics
         self.deadline_ms = deadline_ms if deadline_ms is not None \
-            else default_deadline_ms()
+            else config.active().serve_deadline_ms
         self.idle_timeout_s = idle_timeout_s
         self.write_timeout_s = write_timeout_s
         self._warm_manifest = Path(warm_manifest) if warm_manifest \
@@ -222,8 +206,7 @@ class ReproServer:
         #: id per child via REPRO_INCARNATION_ID; bare daemons mint
         #: their own.  Echoed in every response/span/telemetry sample.
         self.incarnation_id = incarnation_id \
-            or os.environ.get(spans.INCARNATION_ENV_VAR) \
-            or mint_incarnation_id()
+            or config.active().incarnation_id or mint_incarnation_id()
         spans.set_incarnation(self.incarnation_id)
         #: Server-minted trace-id sequence for clients that send none.
         self._trace_seq = itertools.count(1)

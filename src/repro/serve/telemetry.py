@@ -9,8 +9,8 @@ counters, latency quantiles, admission window, residency) every
 ``telemetry.jsonl``.
 
 The journal is a *ring buffer on disk*, bounded exactly like span
-journals: once the current segment exceeds ``max_bytes`` (default
-``REPRO_TELEMETRY_MAX_BYTES`` or 4 MiB) it rotates to a single
+journals: once the current segment exceeds ``max_bytes`` (default:
+the configuration's ``telemetry_max_bytes``, 4 MiB) it rotates to a single
 ``.old`` segment, so a daemon that runs for months holds roughly two
 segments of the newest samples and never fills the disk.
 
@@ -33,29 +33,16 @@ import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro import config
+
 #: Default seconds between samples.
 DEFAULT_INTERVAL_S = 5.0
-
-#: Size bound (bytes) for one telemetry segment before rotation.
-MAX_BYTES_ENV_VAR = "REPRO_TELEMETRY_MAX_BYTES"
-DEFAULT_MAX_BYTES = 4 << 20
 
 #: Suffix of the single rotated segment (mirrors span journals).
 ROTATED_SUFFIX = ".old"
 
 #: Conventional file name under a run/state directory.
 FILENAME = "telemetry.jsonl"
-
-
-def _env_max_bytes() -> int:
-    raw = os.environ.get(MAX_BYTES_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_BYTES
-    return value if value > 0 else DEFAULT_MAX_BYTES
 
 
 def derive_rates(current: dict, previous: Optional[dict]) -> dict:
@@ -109,7 +96,7 @@ class TelemetryRecorder:
         self.path = Path(path)
         self.interval_s = float(interval_s)
         self.max_bytes = max_bytes if max_bytes is not None \
-            else _env_max_bytes()
+            else config.active().telemetry_max_bytes
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()

@@ -46,11 +46,10 @@ Everything is deterministic: triggers key off names, submission
 indices, and attempt numbers - never wall-clock or unseeded
 randomness (``garbage`` bytes come from ``random.Random(seed)``).
 
-Activation, in precedence order: :func:`install` (the CLI's
-``--inject-fault SPEC``), else the ``REPRO_INJECT_FAULT`` environment
-variable; the experiment engine forwards the active spec to pool
-workers explicitly so drills behave identically under any start
-method.
+The active plan is the configuration's ``inject_fault`` field (the
+CLI's ``--inject-fault SPEC``, else ``REPRO_INJECT_FAULT``); the
+experiment engine ships its configuration to pool workers, so drills
+behave identically under any start method.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-#: Environment variable carrying the default fault plan.
-ENV_VAR = "REPRO_INJECT_FAULT"
+from repro import config
 
 #: Exit status used by injected worker crashes (mirrors SIGKILL's 137).
 CRASH_EXIT_CODE = 137
@@ -188,28 +186,12 @@ def parse_spec(spec: str) -> List[Directive]:
 
 # -- process-wide active plan -------------------------------------------
 
-_installed: Optional[str] = None
 _parsed: Optional[Tuple[str, List[Directive]]] = None
 
 
-def install(spec: Optional[str]) -> None:
-    """Set (or, with None, clear) the explicit process-wide fault plan.
-
-    Parses eagerly so a malformed spec fails at install time, not at
-    the first cell.  With no explicit plan the :data:`ENV_VAR`
-    environment variable applies.
-    """
-    global _installed
-    if spec:
-        parse_spec(spec)
-    _installed = spec or None
-
-
 def active_spec() -> Optional[str]:
-    """The fault spec in effect: installed > environment > none."""
-    if _installed is not None:
-        return _installed
-    return os.environ.get(ENV_VAR) or None
+    """The fault spec in effect (``config.active().inject_fault``)."""
+    return config.active().inject_fault
 
 
 def _plan() -> Optional[List[Directive]]:

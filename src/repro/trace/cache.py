@@ -14,12 +14,10 @@ so bumping :data:`repro.trace.serialize._FORMAT_VERSION` invalidates
 every archived trace at once (stale files simply stop being looked up),
 and the same directory can hold traces for many scales side by side.
 
-Activation, in precedence order:
-
-1. :func:`configure` - explicit, process-wide (the CLI's
-   ``--trace-cache DIR`` and the benchmark conftest use this);
-2. the ``REPRO_TRACE_CACHE`` environment variable;
-3. otherwise caching is off and producers run every time.
+The process-wide cache lives in the configured ``trace_cache``
+directory (:mod:`repro.config`; none = caching off).  Past
+``trace_cache_max_bytes`` whole entries - an ``.npz`` or a shard-set
+directory - are evicted atomically, least-recently-used first.
 
 Integrity and concurrency guarantees:
 
@@ -59,7 +57,7 @@ try:
 except ImportError:          # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro import quarantine
+from repro import config, quarantine
 from repro.testing import faults as fault_injection
 from repro.trace import serialize, shards
 from repro.trace.records import Trace
@@ -69,27 +67,9 @@ from repro.trace.shards import ShardedTrace
 #: Environment variable naming the default cache directory.
 ENV_VAR = "REPRO_TRACE_CACHE"
 
-#: Total cache size bound in bytes (0/unset = unbounded).  When the
-#: bound is exceeded after a store, whole entries - a monolithic
-#: ``.npz`` or an entire shard-set directory - are evicted atomically
-#: in least-recently-used order (hits refresh an entry's mtime).
-MAX_BYTES_ENV_VAR = "REPRO_TRACE_CACHE_MAX_BYTES"
-
 #: Suffix given to corrupt entries moved aside for post-mortems
 #: (collected on cache open, see :mod:`repro.quarantine`).
 QUARANTINE_SUFFIX = quarantine.SUFFIX
-
-
-def _max_bytes() -> int:
-    """The configured cache size bound (0 = unbounded)."""
-    raw = os.environ.get(MAX_BYTES_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value > 0 else 0
 
 
 def _entry_size(path: Path) -> int:
@@ -137,9 +117,8 @@ class TraceCache:
                 f"trace cache path {self.directory} exists and is not "
                 f"a directory")
         # Opening the cache garbage-collects expired quarantined
-        # entries (bounded by REPRO_QUARANTINE_MAX_AGE_DAYS /
-        # REPRO_QUARANTINE_MAX_FILES) so post-mortem copies never
-        # accumulate without limit.
+        # entries (see :mod:`repro.quarantine`) so post-mortem copies
+        # never accumulate without limit.
         self.stats.quarantine_gc += quarantine.collect(self.directory)
 
     def key(self, name: str, scale: float) -> str:
@@ -428,13 +407,13 @@ class TraceCache:
 
     def enforce_size_bound(self, keep: Optional[Path] = None) -> int:
         """Evict least-recently-used entries until the cache fits
-        ``REPRO_TRACE_CACHE_MAX_BYTES`` (no-op when unbounded).
+        ``trace_cache_max_bytes`` (no-op when unbounded).
 
         ``keep`` - typically the entry just written - is never evicted,
         so one oversized trace cannot thrash itself.  Returns the
         number of entries evicted.
         """
-        limit = _max_bytes()
+        limit = config.active().trace_cache_max_bytes
         if not limit:
             return 0
         entries = sorted(self._entries(), key=lambda e: (e[1], str(e[0])))
@@ -453,38 +432,28 @@ class TraceCache:
 
 # -- process-wide active cache -----------------------------------------
 
-#: (configured?, cache) - once configure() runs, the env var no longer
-#: applies; configure(None) explicitly disables caching.
-_explicit: Optional[TraceCache] = None
-_explicitly_set = False
-_from_env: Optional[TraceCache] = None
+#: The cache for the configured directory (rebuilt when it changes).
+_active: Optional[TraceCache] = None
 
 
 def configure(directory: Union[str, Path, None]) -> Optional[TraceCache]:
     """Set (or, with None, clear) the process-wide trace cache."""
-    global _explicit, _explicitly_set
-    _explicitly_set = True
-    _explicit = TraceCache(Path(directory)) if directory else None
-    return _explicit
+    config.install(config.active().replace(trace_cache=directory))
+    return active_cache()
 
 
 def reset() -> None:
-    """Forget explicit configuration; fall back to the environment."""
-    global _explicit, _explicitly_set, _from_env
-    _explicit = None
-    _explicitly_set = False
-    _from_env = None
+    """Forget the installed configuration (every field, not only the
+    cache directory); the environment applies again."""
+    config.install(None)
 
 
 def active_cache() -> Optional[TraceCache]:
-    """The cache in effect: explicit > ``REPRO_TRACE_CACHE`` > none."""
-    global _from_env
-    if _explicitly_set:
-        return _explicit
-    directory = os.environ.get(ENV_VAR)
-    if not directory:
-        _from_env = None
+    """The cache in the configured directory, or None (caching off)."""
+    global _active
+    directory = config.active().trace_cache
+    if directory is None:
         return None
-    if _from_env is None or _from_env.directory != Path(directory):
-        _from_env = TraceCache(Path(directory))
-    return _from_env
+    if _active is None or _active.directory != directory:
+        _active = TraceCache(directory)
+    return _active

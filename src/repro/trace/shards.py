@@ -20,8 +20,9 @@ of storage, caching, and parallelism:
 * the eval engine fans out over (cell x shard) so one experiment can
   use every core.
 
-Sharding is governed by one knob: ``--shard-rows N`` /
-``REPRO_SHARD_ROWS`` (0 or unset = off, everything stays monolithic).
+Sharding is governed by one knob, the configuration's ``shard_rows``
+(``--shard-rows N`` / ``REPRO_SHARD_ROWS``; 0 = off, everything stays
+monolithic).
 Aggregate tallies (instructions, loads, stores, branches, syscalls,
 per-region counts) live in the manifest, so Table 1 style summaries
 and the engine's ``cpu.*`` trace metrics need no shard I/O at all.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 import zlib
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, List, Optional,
@@ -45,6 +45,7 @@ from typing import (Callable, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
+from repro import config
 from repro.trace.columns import (COLUMN_DTYPES, ColumnarTrace,
                                  _publish_conversion)
 from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
@@ -58,12 +59,6 @@ SHARD_FORMAT_VERSION = 3
 
 #: Manifest file name inside a shard-set directory.
 MANIFEST_NAME = "manifest.json"
-
-#: Environment knob: rows per shard; 0/unset disables sharding.
-ENV_VAR = "REPRO_SHARD_ROWS"
-
-#: Per-N sampling for ``trace:shard`` spans (1 = trace every shard).
-SPAN_SAMPLE_ENV_VAR = "REPRO_SPAN_SAMPLE"
 
 #: Aggregate tallies kept per shard in the manifest; summed they are
 #: exactly what :func:`_shard_counts` gives for a monolithic trace's
@@ -94,73 +89,6 @@ class ShardStats:
 #: Module-wide counters surfaced through ``engine.resilience_snapshot``
 #: (explicitly *not* part of the deterministic metrics guarantee).
 STATS = ShardStats()
-
-
-# -- shard-size knob ----------------------------------------------------
-
-_shard_rows: Optional[int] = None
-_explicitly_set = False
-_warned_invalid = False
-
-
-def set_shard_rows(rows: Optional[int]) -> None:
-    """Set the rows-per-shard knob (``None`` defers to the env var,
-    ``0`` forces sharding off)."""
-    global _shard_rows, _explicitly_set
-    if rows is None:
-        _shard_rows = None
-        _explicitly_set = False
-        return
-    rows = int(rows)
-    if rows < 0:
-        raise ValueError(f"shard rows must be >= 0, got {rows}")
-    _shard_rows = rows
-    _explicitly_set = True
-
-
-def get_shard_rows() -> int:
-    """Effective rows-per-shard (0 = sharding disabled).
-
-    Precedence: explicit :func:`set_shard_rows` > ``REPRO_SHARD_ROWS``
-    environment variable > off.  Invalid env values warn once and fall
-    back to off, mirroring ``REPRO_JOBS`` handling.
-    """
-    global _warned_invalid
-    if _explicitly_set:
-        return _shard_rows or 0
-    raw = os.environ.get(ENV_VAR)
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError(raw)
-    except ValueError:
-        if not _warned_invalid:
-            warnings.warn(f"ignoring invalid {ENV_VAR}={raw!r} "
-                          f"(expected a non-negative integer)",
-                          RuntimeWarning, stacklevel=2)
-            _warned_invalid = True
-        return 0
-    return value
-
-
-def sharding_enabled() -> bool:
-    """Whether traces should be produced/consumed shard-wise."""
-    return get_shard_rows() > 0
-
-
-def span_sample_every() -> int:
-    """Record every Nth ``trace:shard`` span (``REPRO_SPAN_SAMPLE``,
-    default 1 = all; invalid or < 1 values fall back to 1)."""
-    raw = os.environ.get(SPAN_SAMPLE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value >= 1 else 1
 
 
 # -- shard payloads ------------------------------------------------------
@@ -385,7 +313,7 @@ class ShardedTrace:
         self._chunks = resident_chunks
         self._on_corrupt = on_corrupt
         self._counts: Optional[dict] = None
-        self._sample_every = span_sample_every()
+        self._sample_every = config.active().span_sample
         if sum(meta["rows"] for meta in self._shards) != self.total_rows:
             raise TraceIntegrityError(
                 f"shard manifest for {self.name!r} is inconsistent: "

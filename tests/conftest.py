@@ -6,6 +6,7 @@ import functools
 
 import pytest
 
+from repro import config
 from repro.compiler import compile_source
 from repro.cpu import run_program
 
@@ -24,3 +25,12 @@ def run_minic(source: str, name: str = "test"):
 def minic():
     """Fixture handing tests the compile-and-run helper."""
     return run_minic
+
+
+@pytest.fixture(autouse=True)
+def _fresh_config():
+    """Every test starts from the environment's configuration, and
+    nothing a test installs leaks into the next one."""
+    config.install(None)
+    yield
+    config.install(None)

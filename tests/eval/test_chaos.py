@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro import metrics
+from repro import config, metrics
 from repro.cli import main
-from repro.eval import engine, faults, figure4
+from repro.eval import engine, figure4
 from repro.eval.faults import RetryPolicy
 from repro.metrics import export
 from repro.testing import faults as fi
@@ -27,24 +27,15 @@ NAMES = ("db_vortex", "go_ai")
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
     monkeypatch.delenv(trace_cache.ENV_VAR, raising=False)
-    trace_cache.reset()
-    engine.set_jobs(None)
-    engine.set_checkpoint(None)
     engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()
-    fi.install(None)
-    faults.set_policy(None)
     yield
     metrics.disable()
-    trace_cache.reset()
-    engine.set_checkpoint(None)
     engine.reset_fault_stats()
     engine.take_metrics()
-    fi.install(None)
-    faults.set_policy(None)
     suite.clear_caches()
 
 
@@ -53,13 +44,12 @@ def _figure4_run(jobs, spec=None):
     suite.clear_caches()
     engine.reset_stage_times()
     engine.reset_fault_stats()
-    fi.install(spec)
     metrics.enable()
     try:
-        result = figure4(SCALE, NAMES, jobs=jobs)
+        with config.override(inject_fault=spec):
+            result = figure4(SCALE, NAMES, jobs=jobs)
     finally:
         metrics.disable()
-        fi.install(None)
     document = export.experiment_document(
         "figure4", SCALE, result.metrics,
         resilience=engine.resilience_snapshot())
@@ -73,50 +63,53 @@ class TestCrashChaos:
             _figure4_run(jobs=1)
         assert not any(baseline_snap.values())
 
-        faults.set_policy(RetryPolicy(max_retries=2, backoff_base=0.0))
-        render, doc, snap = _figure4_run(
-            jobs=4, spec="crash:index=1;fail:index=0")
-        assert render == baseline_render
-        assert doc == baseline_json
-        assert snap["engine.pool_rebuilds"] >= 1
-        assert snap["engine.retries"] >= 1
+        with config.override(
+                retry=RetryPolicy(max_retries=2, backoff_base=0.0)):
+            render, doc, snap = _figure4_run(
+                jobs=4, spec="crash:index=1;fail:index=0")
+            assert render == baseline_render
+            assert doc == baseline_json
+            assert snap["engine.pool_rebuilds"] >= 1
+            assert snap["engine.retries"] >= 1
 
     @pytest.mark.slow
     def test_timeout_recovery_byte_identical(self):
         baseline_render, baseline_json, _ = _figure4_run(jobs=1)
 
-        faults.set_policy(RetryPolicy(max_retries=2, backoff_base=0.0,
-                                      cell_timeout=30.0))
-        render, doc, snap = _figure4_run(
-            jobs=4, spec="stall:index=0,seconds=300")
-        assert render == baseline_render
-        assert doc == baseline_json
-        assert snap["engine.timeouts"] == 1
+        with config.override(
+                retry=RetryPolicy(max_retries=2, backoff_base=0.0,
+                                  cell_timeout=30.0)):
+            render, doc, snap = _figure4_run(
+                jobs=4, spec="stall:index=0,seconds=300")
+            assert render == baseline_render
+            assert doc == baseline_json
+            assert snap["engine.timeouts"] == 1
 
 
 class TestCacheChaos:
     def test_corrupt_cache_entry_regenerated_mid_run(self, tmp_path):
         """A bit-rotten archive is quarantined and re-simulated inside
         the run; tables match and the corruption is counted."""
-        trace_cache.configure(tmp_path)
-        baseline_render, _, _ = _figure4_run(jobs=1)   # warms the cache
-        # Corrupt the entry of the cell that will also lose its worker:
-        # the crash fires at cell start (before the fetch), so the
-        # retry attempt is the one that detects and repairs the rot.
-        (entry,) = tmp_path.glob("go_ai__*.npz")
-        fi.corrupt_file(entry, "garbage", seed=5)
+        with config.override(trace_cache=tmp_path):
+            baseline_render, _, _ = _figure4_run(jobs=1)   # warms the cache
+            # Corrupt the entry of the cell that will also lose its worker:
+            # the crash fires at cell start (before the fetch), so the
+            # retry attempt is the one that detects and repairs the rot.
+            (entry,) = tmp_path.glob("go_ai__*.npz")
+            fi.corrupt_file(entry, "garbage", seed=5)
 
-        faults.set_policy(RetryPolicy(max_retries=2, backoff_base=0.0))
-        render, _, snap = _figure4_run(jobs=4, spec="crash:index=1")
-        assert render == baseline_render
-        assert snap["trace.cache.corrupt"] == 1
-        assert snap["engine.pool_rebuilds"] >= 1
-        quarantined = list(tmp_path.glob("go_ai__*.npz.quarantined"))
-        assert len(quarantined) == 1
-        # The regenerated archive is intact: a fresh run loads it warm.
-        clean_render, _, clean_snap = _figure4_run(jobs=1)
-        assert clean_render == baseline_render
-        assert clean_snap["trace.cache.corrupt"] == 0
+            with config.override(
+                    retry=RetryPolicy(max_retries=2, backoff_base=0.0)):
+                render, _, snap = _figure4_run(jobs=4, spec="crash:index=1")
+                assert render == baseline_render
+                assert snap["trace.cache.corrupt"] == 1
+                assert snap["engine.pool_rebuilds"] >= 1
+                quarantined = list(tmp_path.glob("go_ai__*.npz.quarantined"))
+                assert len(quarantined) == 1
+                # The regenerated archive is intact: a fresh run loads it warm.
+                clean_render, _, clean_snap = _figure4_run(jobs=1)
+                assert clean_render == baseline_render
+                assert clean_snap["trace.cache.corrupt"] == 0
 
 
 class TestCliChaos:

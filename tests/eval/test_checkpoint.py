@@ -4,11 +4,10 @@ import pickle
 
 import pytest
 
-from repro import metrics
+from repro import config, metrics
 from repro.eval import checkpoint, engine, faults
 from repro.eval.checkpoint import CellJournal, cell_key
 from repro.eval.faults import CellFailure, RetryPolicy
-from repro.testing import faults as fi
 
 NAMES = ("alpha", "beta", "gamma")
 
@@ -38,20 +37,19 @@ def _logging_cell(name, scale):
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
-    engine.set_jobs(None)
-    engine.set_checkpoint(None)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
     engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()
-    fi.install(None)
-    faults.set_policy(None)
     yield
     metrics.disable()
-    engine.set_checkpoint(None)
     engine.take_metrics()
-    fi.install(None)
-    faults.set_policy(None)
+
+
+def _fresh_journal():
+    """The configured journal with zeroed counters (a new run)."""
+    engine.reset_fault_stats()
+    return engine.active_journal()
 
 
 class TestCellKey:
@@ -130,72 +128,70 @@ class TestResume:
         """The acceptance scenario: a sweep dies mid-run, the re-run
         replays journalled cells and executes only the missing ones."""
         monkeypatch.setattr(faults, "_sleep", lambda _s: None)
-        engine.set_checkpoint(tmp_path)
-        faults.set_policy(RetryPolicy(max_retries=0))
-        fi.install("fail:name=gamma,times=99")     # "power cut" at cell 3
-        with pytest.raises(CellFailure):
-            engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        assert len(engine.active_journal()) == 2   # alpha, beta landed
+        with config.override(checkpoint=tmp_path):
+            with config.override(retry=RetryPolicy(max_retries=0),
+                                 inject_fault="fail:name=gamma,times=99"):
+                with pytest.raises(CellFailure):    # "power cut" at cell 3
+                    engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            assert len(engine.active_journal()) == 2   # alpha, beta landed
 
-        fi.install(None)
-        journal = engine.set_checkpoint(tmp_path)  # fresh stats
-        results = engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
-        assert journal.stats.hits == 2
-        assert journal.stats.misses == 1
-        snap = engine.resilience_snapshot()
-        assert snap["checkpoint.hits"] == 2
-        assert snap["checkpoint.misses"] == 1
+            journal = _fresh_journal()
+            results = engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
+            assert journal.stats.hits == 2
+            assert journal.stats.misses == 1
+            snap = engine.resilience_snapshot()
+            assert snap["checkpoint.hits"] == 2
+            assert snap["checkpoint.misses"] == 1
 
     def test_full_replay_executes_nothing(self, tmp_path):
         del _EXECUTIONS[:]
-        engine.set_checkpoint(tmp_path)
-        engine.run_cells(_logging_cell, NAMES, 1.0, jobs=1)
-        assert _EXECUTIONS == list(NAMES)
-        journal = engine.set_checkpoint(tmp_path)
-        results = engine.run_cells(_logging_cell, NAMES, 1.0, jobs=1)
-        assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
-        assert journal.stats.hits == 3
-        assert _EXECUTIONS == list(NAMES)   # no cell ran again
+        with config.override(checkpoint=tmp_path):
+            engine.run_cells(_logging_cell, NAMES, 1.0, jobs=1)
+            assert _EXECUTIONS == list(NAMES)
+            journal = _fresh_journal()
+            results = engine.run_cells(_logging_cell, NAMES, 1.0, jobs=1)
+            assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
+            assert journal.stats.hits == 3
+            assert _EXECUTIONS == list(NAMES)   # no cell ran again
 
     def test_replay_restores_metrics_and_stage_times(self, tmp_path):
-        engine.set_checkpoint(tmp_path)
-        metrics.enable()
-        engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
-        first = engine.take_metrics()
-        first_cells = engine.stage_times().cells
+        with config.override(checkpoint=tmp_path):
+            metrics.enable()
+            engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
+            first = engine.take_metrics()
+            first_cells = engine.stage_times().cells
 
-        engine.reset_stage_times()
-        engine.set_checkpoint(tmp_path)
-        engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
-        replayed = engine.take_metrics()
-        assert replayed == first
-        assert engine.stage_times().cells == first_cells
+            engine.reset_stage_times()
+            engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
+            replayed = engine.take_metrics()
+            assert replayed == first
+            assert engine.stage_times().cells == first_cells
 
     def test_different_args_never_match(self, tmp_path):
-        engine.set_checkpoint(tmp_path)
-        engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        journal = engine.set_checkpoint(tmp_path)
-        engine.run_cells(_cell, NAMES, 2.0, jobs=1)   # different scale
-        assert journal.stats.hits == 0
-        assert journal.stats.misses == 3
+        with config.override(checkpoint=tmp_path):
+            engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            journal = _fresh_journal()
+            engine.run_cells(_cell, NAMES, 2.0, jobs=1)   # different scale
+            assert journal.stats.hits == 0
+            assert journal.stats.misses == 3
 
     def test_corrupt_journal_entry_reruns_cell(self, tmp_path):
-        engine.set_checkpoint(tmp_path)
-        engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        entry = engine.active_journal().path_for(
-            cell_key(_cell, "beta", 1.0, ()))
-        entry.write_bytes(b"scrambled")
-        journal = engine.set_checkpoint(tmp_path)
-        results = engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
-        assert journal.stats.hits == 2
-        assert journal.stats.corrupt == 1
-        assert engine.resilience_snapshot()["checkpoint.corrupt"] == 1
-        # The re-run re-journalled the cell, so a third run fully hits.
-        journal = engine.set_checkpoint(tmp_path)
-        engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        assert journal.stats.hits == 3
+        with config.override(checkpoint=tmp_path):
+            engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            entry = engine.active_journal().path_for(
+                cell_key(_cell, "beta", 1.0, ()))
+            entry.write_bytes(b"scrambled")
+            journal = _fresh_journal()
+            results = engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            assert results == ["alpha@1.0", "beta@1.0", "gamma@1.0"]
+            assert journal.stats.hits == 2
+            assert journal.stats.corrupt == 1
+            assert engine.resilience_snapshot()["checkpoint.corrupt"] == 1
+            # The re-run re-journalled the cell, so a third run fully hits.
+            journal = _fresh_journal()
+            engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            assert journal.stats.hits == 3
 
 
 class TestDiskQuota:
@@ -211,12 +207,13 @@ class TestDiskQuota:
         assert journal.stats.quota_evictions == 0
 
     def test_env_var_sets_quota(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(checkpoint.ENV_MAX_BYTES, "4096")
+        monkeypatch.setenv("REPRO_CHECKPOINT_MAX_BYTES", "4096")
         assert CellJournal(tmp_path).max_bytes == 4096
-        monkeypatch.setenv(checkpoint.ENV_MAX_BYTES, "not-a-number")
-        assert CellJournal(tmp_path).max_bytes == 0
-        monkeypatch.setenv(checkpoint.ENV_MAX_BYTES, "-1")
-        assert CellJournal(tmp_path).max_bytes == 0
+        for bad in ("not-a-number", "-1"):
+            monkeypatch.setenv("REPRO_CHECKPOINT_MAX_BYTES", bad)
+            config.install(None)
+            with pytest.warns(RuntimeWarning, match=repr(bad)):
+                assert CellJournal(tmp_path).max_bytes == 0
 
     def test_quota_rotates_oldest_keeps_newest(self, tmp_path):
         # A quota smaller than one record: every new record rotates
@@ -241,22 +238,18 @@ class TestDiskQuota:
         assert len(journal) == 4
         assert journal.stats.quota_evictions == 0
 
-    def test_quota_evictions_in_resilience_snapshot(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv(checkpoint.ENV_MAX_BYTES, "1")
-        engine.set_checkpoint(tmp_path)
-        engine.run_cells(_cell, NAMES, 1.0, jobs=1)
-        snap = engine.resilience_snapshot()
+    def test_quota_evictions_in_resilience_snapshot(self, tmp_path):
+        with config.override(checkpoint=tmp_path, checkpoint_max_bytes=1):
+            engine.run_cells(_cell, NAMES, 1.0, jobs=1)
+            snap = engine.resilience_snapshot()
         assert snap["checkpoint.quota_evictions"] == 2
 
-    def test_rotated_entries_are_quarantine_collectable(self, tmp_path,
-                                                        monkeypatch):
-        from repro import quarantine
+    def test_rotated_entries_are_quarantine_collectable(self, tmp_path):
         journal = CellJournal(tmp_path, max_bytes=1)
         for index in range(3):
             journal.record(_cell, f"w{index}", 1.0, (), "r", {}, None)
         # Age bound 0 clears every quarantined file on the next open.
-        monkeypatch.setenv(quarantine.ENV_MAX_AGE, "0")
-        reopened = CellJournal(tmp_path)
+        with config.override(quarantine_max_age_days=0):
+            reopened = CellJournal(tmp_path)
         assert reopened.stats.quarantine_gc == 2
         assert list(tmp_path.glob("*.quarantined")) == []

@@ -7,6 +7,7 @@ at any ``--jobs`` level.
 
 import pytest
 
+from repro import config
 from repro.eval import engine, figure4
 from repro.trace import cache as trace_cache
 from repro.workloads import suite
@@ -18,13 +19,9 @@ NAMES = ("db_vortex", "go_ai")
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
     monkeypatch.delenv(trace_cache.ENV_VAR, raising=False)
-    monkeypatch.delenv(engine.JOBS_ENV_VAR, raising=False)
-    trace_cache.reset()
-    engine.set_jobs(None)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
     engine.reset_stage_times()
     yield
-    trace_cache.reset()
-    engine.set_jobs(None)
     engine.reset_stage_times()
     suite.clear_caches()
 
@@ -59,41 +56,92 @@ class TestRunCells:
 
 class TestJobs:
     def test_default_is_serial(self):
-        assert engine.get_jobs() == 1
+        assert config.active().jobs == 1
 
     def test_set_jobs(self):
-        engine.set_jobs(4)
-        assert engine.get_jobs() == 4
+        with config.override(jobs=4):
+            assert config.active().jobs == 4
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(engine.JOBS_ENV_VAR, "3")
-        assert engine.get_jobs() == 3
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert config.active().jobs == 3
 
     def test_bad_env_var_falls_back(self, monkeypatch):
-        monkeypatch.setenv(engine.JOBS_ENV_VAR, "lots")
-        assert engine.get_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        with pytest.warns(RuntimeWarning):
+            assert config.active().jobs == 1
 
     def test_bad_env_var_warns_naming_value(self, monkeypatch):
-        monkeypatch.setenv(engine.JOBS_ENV_VAR, "lots")
-        engine._warned_jobs.clear()
-        with pytest.warns(RuntimeWarning, match="'lots'"):
-            assert engine.get_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='lots'"):
+            assert config.active().jobs == 1
 
     def test_nonpositive_env_var_warns(self, monkeypatch):
-        monkeypatch.setenv(engine.JOBS_ENV_VAR, "-2")
-        engine._warned_jobs.clear()
+        monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.warns(RuntimeWarning, match="'-2'"):
-            assert engine.get_jobs() == 1
+            assert config.active().jobs == 1
 
     def test_bad_env_var_warns_once_per_value(self, monkeypatch):
         import warnings as warnings_module
-        monkeypatch.setenv(engine.JOBS_ENV_VAR, "zero")
-        engine._warned_jobs.clear()
+        monkeypatch.setenv("REPRO_JOBS", "zero")
         with pytest.warns(RuntimeWarning):
-            engine.get_jobs()
+            config.active()
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            assert engine.get_jobs() == 1   # already reported: silent
+            # Parsed once per process: later reads are silent.
+            assert config.active().jobs == 1
+            assert engine.run_cells(_cell, ("x",), 1.0) == ["x@1"]
+
+
+#: Runs under the ``spawn`` start method: the parent turns the trace
+#: cache off while ``REPRO_TRACE_CACHE`` names a directory, and each
+#: pool worker reports the cache it sees.
+_SPAWN_SCRIPT = """
+import json
+import multiprocessing
+import os
+import sys
+
+from repro.eval import engine
+from repro.trace import cache as trace_cache
+
+
+def cache_cell(name, scale):
+    cache = trace_cache.active_cache()
+    return None if cache is None else str(cache.directory)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    os.environ["REPRO_TRACE_CACHE"] = sys.argv[1]
+    trace_cache.configure(None)
+    print(json.dumps(engine.run_cells(cache_cell, ["a", "b"], 1.0,
+                                      jobs=2)))
+"""
+
+
+class TestWorkerConfig:
+    def test_spawn_workers_inherit_parent_config(self, tmp_path):
+        """Pool workers see the parent's configuration, not their own
+        environment, under the ``spawn`` start method."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = tmp_path / "spawn_leak.py"
+        script.write_text(_SPAWN_SCRIPT)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH"))))
+        completed = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "env-cache")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == [None, None]
 
 
 class TestStageTimes:
@@ -108,11 +156,11 @@ class TestStageTimes:
         assert a.total == 1.5 + 0.25 + 2.0
 
     def test_render_mentions_cache_state(self, tmp_path):
-        trace_cache.configure(tmp_path)
-        text = engine.StageTimes(cells=2).render()
+        with config.override(trace_cache=tmp_path):
+            text = engine.StageTimes(cells=2).render()
         assert str(tmp_path) in text
-        trace_cache.configure(None)
-        assert "off" in engine.StageTimes().render()
+        with config.override(trace_cache=None):
+            assert "off" in engine.StageTimes().render()
 
 
 class TestTraceFor:
@@ -166,12 +214,12 @@ class TestTraceFor:
         assert engine.stage_times().cache_io == 0.0
 
     def test_warm_cache_skips_functional_sim(self, tmp_path):
-        trace_cache.configure(tmp_path)
-        with engine.open_trace(NAMES[0], SCALE):
-            pass                       # exit evicts: next call hits disk
-        engine.reset_stage_times()
-        with engine.open_trace(NAMES[0], SCALE) as trace:
-            pass
+        with config.override(trace_cache=tmp_path):
+            with engine.open_trace(NAMES[0], SCALE):
+                pass                   # exit evicts: next call hits disk
+            engine.reset_stage_times()
+            with engine.open_trace(NAMES[0], SCALE) as trace:
+                pass
         times = engine.stage_times()
         assert times.functional_sim == 0.0
         assert times.cache_hits == 1
@@ -183,11 +231,11 @@ class TestTraceFor:
 class TestEquivalence:
     def test_cache_cold_warm_disabled_identical(self, tmp_path):
         disabled = figure4(SCALE, NAMES).render()
-        trace_cache.configure(tmp_path)
-        cold = figure4(SCALE, NAMES).render()
-        assert trace_cache.active_cache().stats.misses == len(NAMES)
-        engine.reset_stage_times()
-        warm = figure4(SCALE, NAMES).render()
+        with config.override(trace_cache=tmp_path):
+            cold = figure4(SCALE, NAMES).render()
+            assert trace_cache.active_cache().stats.misses == len(NAMES)
+            engine.reset_stage_times()
+            warm = figure4(SCALE, NAMES).render()
         assert cold == disabled
         assert warm == disabled
         # The warm pass never ran the functional simulator.
@@ -196,9 +244,9 @@ class TestEquivalence:
         assert times.cache_hits == len(NAMES)
 
     def test_jobs_levels_identical(self, tmp_path):
-        trace_cache.configure(tmp_path)
-        serial = figure4(SCALE, NAMES, jobs=1).render()
-        parallel = figure4(SCALE, NAMES, jobs=4).render()
+        with config.override(trace_cache=tmp_path):
+            serial = figure4(SCALE, NAMES, jobs=1).render()
+            parallel = figure4(SCALE, NAMES, jobs=4).render()
         assert parallel == serial
 
 

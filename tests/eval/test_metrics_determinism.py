@@ -28,7 +28,6 @@ def _clean():
     metrics.disable()
     engine.take_metrics()
     suite.clear_caches()
-    engine.set_jobs(None)
 
 
 def _figure4_export(jobs):

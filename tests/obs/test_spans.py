@@ -140,7 +140,7 @@ class TestWorkerMerge:
 
 class TestRotation:
     def test_journal_rotates_at_size_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(spans.MAX_BYTES_ENV_VAR, "2000")
+        monkeypatch.setenv("REPRO_SPAN_MAX_BYTES", "2000")
         tracer = spans.enable(tmp_path)
         for index in range(60):
             with spans.span("work", index=index):
@@ -157,7 +157,7 @@ class TestRotation:
         assert tracer.max_bytes == 2000
 
     def test_unset_bound_never_rotates(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(spans.MAX_BYTES_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_SPAN_MAX_BYTES", raising=False)
         spans.enable(tmp_path)
         for _ in range(50):
             with spans.span("work"):
@@ -169,8 +169,9 @@ class TestRotation:
 
     def test_invalid_bound_treated_as_unbounded(self, tmp_path,
                                                 monkeypatch):
-        monkeypatch.setenv(spans.MAX_BYTES_ENV_VAR, "not-a-number")
-        tracer = spans.enable(tmp_path)
+        monkeypatch.setenv("REPRO_SPAN_MAX_BYTES", "not-a-number")
+        with pytest.warns(RuntimeWarning, match="REPRO_SPAN_MAX_BYTES"):
+            tracer = spans.enable(tmp_path)
         spans.disable()
         assert tracer.max_bytes == 0
 
@@ -179,7 +180,7 @@ class TestShardSpanSampling:
     def test_sample_every_nth_shard_span(self, tmp_path, monkeypatch):
         from repro.trace import shards
         from repro.trace.records import OC_IALU, Trace, TraceRecord
-        monkeypatch.setenv(shards.SPAN_SAMPLE_ENV_VAR, "4")
+        monkeypatch.setenv("REPRO_SPAN_SAMPLE", "4")
         trace = Trace("sampled", [TraceRecord(0x400000, OC_IALU)
                                   for _ in range(10)])
         writer_dir = tmp_path / "entry"
@@ -199,7 +200,7 @@ class TestShardSpanSampling:
     def test_default_samples_every_shard(self, tmp_path, monkeypatch):
         from repro.trace import shards
         from repro.trace.records import OC_IALU, Trace, TraceRecord
-        monkeypatch.delenv(shards.SPAN_SAMPLE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_SPAN_SAMPLE", raising=False)
         trace = Trace("allspans", [TraceRecord(0x400000, OC_IALU)
                                    for _ in range(3)])
         writer_dir = tmp_path / "entry"

@@ -15,11 +15,10 @@ import time
 
 import pytest
 
-from repro import api
+from repro import api, config
 from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer
-from repro.testing import faults as fi
 from repro.workloads import suite
 
 NAME = "db_vortex"
@@ -57,10 +56,12 @@ def canonical(response):
 
 @pytest.fixture(autouse=True)
 def _no_faults(monkeypatch):
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
-    fi.install(None)
-    yield
-    fi.install(None)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
+
+
+def _drill(spec):
+    """Run the block under the serve fault plan ``spec``."""
+    return config.override(inject_fault=spec)
 
 
 @pytest.fixture(scope="module")
@@ -89,53 +90,53 @@ class TestByteIdentityUnderFaults:
     def test_drop_is_absorbed_by_retry(self, warm_server):
         _, address = warm_server
         baseline = self._baseline(address)
-        fi.install("serve:drop,op=predict,times=1")
-        with ServeClient(address, retries=2) as client:
-            response = client.call("predict", names=[NAME], scale=SCALE)
-        assert response["ok"]
-        assert canonical(response) == baseline
+        with _drill("serve:drop,op=predict,times=1"):
+            with ServeClient(address, retries=2) as client:
+                response = client.call("predict", names=[NAME], scale=SCALE)
+            assert response["ok"]
+            assert canonical(response) == baseline
 
     def test_stall_delays_but_does_not_change_the_answer(self,
                                                          warm_server):
         _, address = warm_server
         baseline = self._baseline(address)
-        fi.install("serve:stall,op=predict,seconds=0.2,times=1")
-        with ServeClient(address) as client:
-            started = time.monotonic()
-            response = client.call("predict", names=[NAME], scale=SCALE)
-            elapsed = time.monotonic() - started
-        assert response["ok"]
-        assert canonical(response) == baseline
-        assert elapsed >= 0.2
+        with _drill("serve:stall,op=predict,seconds=0.2,times=1"):
+            with ServeClient(address) as client:
+                started = time.monotonic()
+                response = client.call("predict", names=[NAME], scale=SCALE)
+                elapsed = time.monotonic() - started
+            assert response["ok"]
+            assert canonical(response) == baseline
+            assert elapsed >= 0.2
 
     def test_corrupt_response_is_retried_to_identical_bytes(
             self, warm_server):
         _, address = warm_server
         baseline = self._baseline(address)
-        fi.install("serve:corrupt-response,op=predict,times=1,seed=7")
-        with ServeClient(address, retries=2) as client:
-            response = client.call("predict", names=[NAME], scale=SCALE)
-        assert response["ok"]
-        assert canonical(response) == baseline
-        assert client.retry_total >= 1
+        with _drill("serve:corrupt-response,op=predict,times=1,seed=7"):
+            with ServeClient(address, retries=2) as client:
+                response = client.call("predict", names=[NAME], scale=SCALE)
+            assert response["ok"]
+            assert canonical(response) == baseline
+            assert client.retry_total >= 1
 
     def test_oom_evict_recomputes_identical_bytes(self, warm_server):
         server, address = warm_server
         baseline = self._baseline(address)
-        fi.install("serve:oom-evict,op=predict,times=1,seed=1")
-        with ServeClient(address) as client:
-            response = client.call("predict", names=[NAME], scale=SCALE)
-        assert response["ok"]
-        assert canonical(response) == baseline
+        with _drill("serve:oom-evict,op=predict,times=1,seed=1"):
+            with ServeClient(address) as client:
+                response = client.call("predict", names=[NAME], scale=SCALE)
+            assert response["ok"]
+            assert canonical(response) == baseline
 
     def test_fault_fires_are_counted(self, warm_server):
         _, address = warm_server
-        fi.install("serve:stall,op=health,seconds=0.01,times=1;"
-                   "serve:drop,op=sleep,times=1")
-        with ServeClient(address) as client:
-            client.health()
-            metrics = client.stats()["metrics"]
-        assert metrics["serve.faults.stall"]["value"] >= 1
+        with _drill("serve:stall,op=health,seconds=0.01,times=1;"
+                    "serve:drop,op=sleep,times=1"):
+            with ServeClient(address) as client:
+                client.health()
+                metrics = client.stats()["metrics"]
+            assert metrics["serve.faults.stall"]["value"] >= 1
 
 
 class TestTypedErrorStatuses:
@@ -145,14 +146,14 @@ class TestTypedErrorStatuses:
     def test_stall_past_deadline_is_504_with_stage_timings(
             self, warm_server):
         _, address = warm_server
-        fi.install("serve:stall,op=predict,seconds=0.4,times=1,seed=2")
-        with ServeClient(address) as client:
-            response = client.call("predict", timeout_ms=100,
-                                   names=[NAME], scale=SCALE)
-        assert response["ok"] is False
-        assert response["status"] == 504
-        assert response["deadline_ms"] == 100
-        assert isinstance(response["stages"], list)
+        with _drill("serve:stall,op=predict,seconds=0.4,times=1,seed=2"):
+            with ServeClient(address) as client:
+                response = client.call("predict", timeout_ms=100,
+                                       names=[NAME], scale=SCALE)
+            assert response["ok"] is False
+            assert response["status"] == 504
+            assert response["deadline_ms"] == 100
+            assert isinstance(response["stages"], list)
 
     def test_internal_error_is_typed_500(self, warm_server,
                                          monkeypatch):
@@ -181,23 +182,23 @@ class TestTypedErrorStatuses:
         session.warm([(NAME, SCALE)])
         server = ReproServer(session, port=0, admission=admission)
         address = server.start()
-        fi.install("serve:oom-evict,op=regions,times=50,seed=3")
-        try:
-            with ServeClient(address) as client:
-                shed = None
-                for index in range(8):
-                    response = client.call(
-                        "regions", names=[NAME],
-                        scale=round(0.03 + 0.001 * index, 6))
-                    if response["status"] == 503:
-                        shed = response
-                        break
-                assert shed is not None, "thrash never shed"
-                assert shed["retry_after_ms"] > 0
-                assert client.health()["status"] == "degraded"
-        finally:
-            server.shutdown(drain=True)
-            suite.clear_caches()
+        with _drill("serve:oom-evict,op=regions,times=50,seed=3"):
+            try:
+                with ServeClient(address) as client:
+                    shed = None
+                    for index in range(8):
+                        response = client.call(
+                            "regions", names=[NAME],
+                            scale=round(0.03 + 0.001 * index, 6))
+                        if response["status"] == 503:
+                            shed = response
+                            break
+                    assert shed is not None, "thrash never shed"
+                    assert shed["retry_after_ms"] > 0
+                    assert client.health()["status"] == "degraded"
+            finally:
+                server.shutdown(drain=True)
+                suite.clear_caches()
 
 
 class TestDrainNeverDeadlocks:
@@ -209,23 +210,23 @@ class TestDrainNeverDeadlocks:
         session.warm([(NAME, SCALE)])
         server = ReproServer(session, port=0, debug_ops=True)
         address = server.start()
-        fi.install("serve:stall,op=predict,seconds=0.4,times=1,seed=4")
-        box = {}
+        with _drill("serve:stall,op=predict,seconds=0.4,times=1,seed=4"):
+            box = {}
 
-        def doomed_request():
-            with ServeClient(address) as client:
-                box["response"] = client.call(
-                    "predict", timeout_ms=100, names=[NAME],
-                    scale=SCALE)
+            def doomed_request():
+                with ServeClient(address) as client:
+                    box["response"] = client.call(
+                        "predict", timeout_ms=100, names=[NAME],
+                        scale=SCALE)
 
-        thread = threading.Thread(target=doomed_request, daemon=True)
-        thread.start()
-        time.sleep(0.1)     # let the request reach the stall
-        try:
-            finishes_within(10.0, server.shutdown, drain=True)
-            thread.join(5.0)
-            assert not thread.is_alive()
-            assert box["response"]["status"] == 504
-        finally:
-            server.shutdown(drain=False)
-            suite.clear_caches()
+            thread = threading.Thread(target=doomed_request, daemon=True)
+            thread.start()
+            time.sleep(0.1)     # let the request reach the stall
+            try:
+                finishes_within(10.0, server.shutdown, drain=True)
+                thread.join(5.0)
+                assert not thread.is_alive()
+                assert box["response"]["status"] == 504
+            finally:
+                server.shutdown(drain=False)
+                suite.clear_caches()

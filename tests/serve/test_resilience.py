@@ -13,14 +13,12 @@ import time
 
 import pytest
 
-from repro import api
+from repro import api, config
 from repro.serve.admission import (AdmissionController, STATE_DEGRADED,
                                    STATE_OK, STATE_OVERLOADED)
 from repro.serve.client import (CircuitOpenError, ServeClient,
                                 connect_with_retry)
-from repro.serve.server import (ENV_DEADLINE_MS, ReproServer,
-                                read_warm_manifest)
-from repro.testing import faults as fi
+from repro.serve.server import ReproServer, read_warm_manifest
 from repro.workloads import suite
 
 SCALE = 0.2
@@ -29,10 +27,12 @@ NAME = "db_vortex"
 
 @pytest.fixture(autouse=True)
 def _no_faults(monkeypatch):
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
-    fi.install(None)
-    yield
-    fi.install(None)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
+
+
+def _drill(spec):
+    """Run the block under the serve fault plan ``spec``."""
+    return config.override(inject_fault=spec)
 
 
 def finishes_within(budget_s, fn, *args, **kwargs):
@@ -224,7 +224,7 @@ class TestServerDeadlines:
             server.shutdown(drain=True)
 
     def test_env_default_deadline(self, monkeypatch):
-        monkeypatch.setenv(ENV_DEADLINE_MS, "80")
+        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "80")
         server, address = self._server()
         try:
             assert server.deadline_ms == 80
@@ -355,22 +355,22 @@ class TestClientResilience:
     def test_retries_reconnect_through_drops(self):
         server, address = self._server()
         try:
-            fi.install("serve:drop,times=2")
-            client = ServeClient(address, retries=3, backoff_s=0.01)
-            response = client.call("sleep", seconds=0.0)
-            assert response["status"] == 200
-            assert client.retry_total == 2
-            client.close()
+            with _drill("serve:drop,times=2"):
+                client = ServeClient(address, retries=3, backoff_s=0.01)
+                response = client.call("sleep", seconds=0.0)
+                assert response["status"] == 200
+                assert client.retry_total == 2
+                client.close()
         finally:
             server.shutdown(drain=True)
 
     def test_no_retries_propagates_drop(self):
         server, address = self._server()
         try:
-            fi.install("serve:drop")
-            with ServeClient(address) as client:
-                with pytest.raises((ConnectionError, OSError)):
-                    client.call("sleep", seconds=0.0)
+            with _drill("serve:drop"):
+                with ServeClient(address) as client:
+                    with pytest.raises((ConnectionError, OSError)):
+                        client.call("sleep", seconds=0.0)
         finally:
             server.shutdown(drain=True)
 
@@ -380,12 +380,12 @@ class TestClientResilience:
             with ServeClient(address) as baseline_client:
                 baseline = baseline_client.result(
                     "regions", names=[NAME], scale=SCALE)
-            fi.install("serve:corrupt-response,times=1")
-            client = ServeClient(address, retries=2, backoff_s=0.01)
-            result = client.result("regions", names=[NAME], scale=SCALE)
-            assert result == baseline
-            assert client.retry_total == 1
-            client.close()
+            with _drill("serve:corrupt-response,times=1"):
+                client = ServeClient(address, retries=2, backoff_s=0.01)
+                result = client.result("regions", names=[NAME], scale=SCALE)
+                assert result == baseline
+                assert client.retry_total == 1
+                client.close()
         finally:
             server.shutdown(drain=True)
             suite.clear_caches()
@@ -411,15 +411,14 @@ class TestClientResilience:
                                  breaker_reset_s=5.0, clock=clock,
                                  sleep=naps.append)
             # Two consecutive exhausted calls trip the breaker.
-            fi.install("serve:drop,times=10")
-            for _ in range(2):
-                with pytest.raises((ConnectionError, OSError)):
+            with _drill("serve:drop,times=10"):
+                for _ in range(2):
+                    with pytest.raises((ConnectionError, OSError)):
+                        client.call("sleep", seconds=0.0)
+                with pytest.raises(CircuitOpenError) as excinfo:
                     client.call("sleep", seconds=0.0)
-            with pytest.raises(CircuitOpenError) as excinfo:
-                client.call("sleep", seconds=0.0)
-            assert excinfo.value.retry_after_s > 0
+                assert excinfo.value.retry_after_s > 0
             # After the reset window a half-open trial goes through.
-            fi.install(None)
             clock.advance(6.0)
             response = client.call("sleep", seconds=0.0)
             assert response["status"] == 200

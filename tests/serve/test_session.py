@@ -11,7 +11,6 @@ import pytest
 from repro import api, metrics
 from repro.cli import main
 from repro.eval import engine
-from repro.trace import cache as trace_cache
 from repro.workloads import suite
 
 SCALE = 0.2
@@ -22,9 +21,6 @@ NAME = "db_vortex"
 def _clear_state():
     yield
     suite.clear_caches()
-    trace_cache.reset()
-    engine.set_jobs(None)
-    engine.set_checkpoint(None)
     metrics.disable()
     engine.take_metrics()
 

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro import config
 from repro.serve import telemetry
 from repro.serve.telemetry import TelemetryRecorder, derive_rates
 
@@ -108,11 +111,13 @@ class TestRecorder:
         assert recorder.samples >= 1
 
     def test_env_bound_is_used_when_unset(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(telemetry.MAX_BYTES_ENV_VAR, "1234")
+        monkeypatch.setenv("REPRO_TELEMETRY_MAX_BYTES", "1234")
         recorder = TelemetryRecorder(lambda: {}, tmp_path / "t.jsonl",
                                      interval_s=1.0)
         assert recorder.max_bytes == 1234
-        monkeypatch.setenv(telemetry.MAX_BYTES_ENV_VAR, "banana")
-        recorder = TelemetryRecorder(lambda: {}, tmp_path / "t.jsonl",
-                                     interval_s=1.0)
-        assert recorder.max_bytes == telemetry.DEFAULT_MAX_BYTES
+        monkeypatch.setenv("REPRO_TELEMETRY_MAX_BYTES", "banana")
+        config.install(None)
+        with pytest.warns(RuntimeWarning, match="'banana'"):
+            recorder = TelemetryRecorder(lambda: {}, tmp_path / "t.jsonl",
+                                         interval_s=1.0)
+        assert recorder.max_bytes == config.Config().telemetry_max_bytes

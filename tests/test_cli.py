@@ -7,8 +7,6 @@ import pytest
 from repro import metrics
 from repro.cli import main
 from repro.eval import engine
-from repro.testing import faults as fault_injection
-from repro.trace import cache as trace_cache
 from repro.workloads import suite
 
 
@@ -16,11 +14,7 @@ from repro.workloads import suite
 def _clear_caches():
     yield
     suite.clear_caches()
-    trace_cache.reset()
-    engine.set_jobs(None)
-    engine.set_checkpoint(None)
     engine.reset_fault_stats()
-    fault_injection.install(None)
     metrics.disable()
     engine.take_metrics()
 

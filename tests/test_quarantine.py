@@ -9,10 +9,11 @@ resilience metrics.
 
 import os
 import time
+import warnings
 
 import pytest
 
-from repro import quarantine
+from repro import config, quarantine
 from repro.eval.checkpoint import CellJournal
 from repro.trace.cache import TraceCache
 
@@ -74,10 +75,10 @@ class TestCollect:
         now = time.time()
         _quarantined(tmp_path, "old", 5, now)
         _quarantined(tmp_path, "fresh", 1, now)
-        monkeypatch.setenv(quarantine.ENV_MAX_AGE, "3")
+        monkeypatch.setenv("REPRO_QUARANTINE_MAX_AGE_DAYS", "3")
         assert quarantine.collect(tmp_path, now=now) == 1
-        monkeypatch.setenv(quarantine.ENV_MAX_FILES, "0")
-        assert quarantine.collect(tmp_path, now=now) == 1
+        with config.override(quarantine_max_files=0):
+            assert quarantine.collect(tmp_path, now=now) == 1
         assert not list(tmp_path.glob(f"*{quarantine.SUFFIX}"))
 
     @pytest.mark.parametrize("value", ("not-a-number", "-2", ""))
@@ -85,10 +86,14 @@ class TestCollect:
                                           value):
         now = time.time()
         _quarantined(tmp_path, "recent", 1, now)
-        monkeypatch.setenv(quarantine.ENV_MAX_AGE, value)
-        monkeypatch.setenv(quarantine.ENV_MAX_FILES, value)
-        # Defaults (7 days / 16 files) keep a 1-day-old file.
-        assert quarantine.collect(tmp_path, now=now) == 0
+        monkeypatch.setenv("REPRO_QUARANTINE_MAX_AGE_DAYS", value)
+        monkeypatch.setenv("REPRO_QUARANTINE_MAX_FILES", value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Defaults (7 days / 16 files) keep a 1-day-old file.
+            assert quarantine.collect(tmp_path, now=now) == 0
+        # Blank means unset; a malformed value is reported, per knob.
+        assert len(caught) == (2 if value else 0)
 
 
 class TestStoreIntegration:
@@ -114,19 +119,13 @@ class TestStoreIntegration:
 
     def test_resilience_metrics_surface_collections(self, tmp_path):
         from repro.eval import engine
-        from repro.trace import cache as trace_cache
         now = time.time()
         cache_dir = tmp_path / "cache"
         journal_dir = tmp_path / "journal"
         cache_dir.mkdir(), journal_dir.mkdir()
         _quarantined(cache_dir, "bad.npz", 30, now)
         _quarantined(journal_dir, "bad.cell", 30, now)
-        try:
-            trace_cache.configure(cache_dir)
-            engine.set_checkpoint(journal_dir)
+        with config.override(trace_cache=cache_dir, checkpoint=journal_dir):
             snap = engine.resilience_snapshot()
-            assert snap["trace.cache.quarantine_gc"] == 1
-            assert snap["checkpoint.quarantine_gc"] == 1
-        finally:
-            engine.set_checkpoint(None)
-            trace_cache.reset()
+        assert snap["trace.cache.quarantine_gc"] == 1
+        assert snap["checkpoint.quarantine_gc"] == 1

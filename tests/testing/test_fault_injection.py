@@ -2,15 +2,13 @@
 
 import pytest
 
+from repro import config
 from repro.testing import faults as fi
 
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
-    fi.install(None)
-    yield
-    fi.install(None)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
 
 
 class TestParseSpec:
@@ -64,56 +62,56 @@ class TestActivation:
         fi.fire_cell("w", 0, 0)     # no plan: never raises
 
     def test_install_beats_env(self, monkeypatch):
-        monkeypatch.setenv(fi.ENV_VAR, "fail:index=0")
-        fi.install("fail:index=5")
-        assert fi.active_spec() == "fail:index=5"
-        fi.fire_cell("w", 0, 0)     # env directive must not apply
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "fail:index=0")
+        with config.override(inject_fault="fail:index=5"):
+            assert fi.active_spec() == "fail:index=5"
+            fi.fire_cell("w", 0, 0)     # env directive must not apply
 
     def test_env_var_activates(self, monkeypatch):
-        monkeypatch.setenv(fi.ENV_VAR, "fail:index=0")
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "fail:index=0")
         with pytest.raises(fi.InjectedFault):
             fi.fire_cell("w", 0, 0)
 
     def test_install_rejects_bad_spec_eagerly(self):
         with pytest.raises(fi.SpecError):
-            fi.install("bogus")
+            config.Config(inject_fault="bogus")
 
 
 class TestFireCell:
     def test_fail_matches_index(self):
-        fi.install("fail:index=2")
-        fi.fire_cell("w", 0, 0)
-        fi.fire_cell("w", 1, 0)
-        with pytest.raises(fi.InjectedFault):
-            fi.fire_cell("w", 2, 0)
+        with config.override(inject_fault="fail:index=2"):
+            fi.fire_cell("w", 0, 0)
+            fi.fire_cell("w", 1, 0)
+            with pytest.raises(fi.InjectedFault):
+                fi.fire_cell("w", 2, 0)
 
     def test_fail_matches_name(self):
-        fi.install("fail:name=go_ai")
-        fi.fire_cell("db_vortex", 0, 0)
-        with pytest.raises(fi.InjectedFault):
-            fi.fire_cell("go_ai", 1, 0)
+        with config.override(inject_fault="fail:name=go_ai"):
+            fi.fire_cell("db_vortex", 0, 0)
+            with pytest.raises(fi.InjectedFault):
+                fi.fire_cell("go_ai", 1, 0)
 
     def test_attempt_gating_is_deterministic(self):
         """A directive fires on the first ``times`` attempts only, so a
         retried cell recovers without any shared mutable state."""
-        fi.install("fail:index=0,times=2")
-        for attempt in (0, 1):
-            with pytest.raises(fi.InjectedFault):
-                fi.fire_cell("w", 0, attempt)
-        fi.fire_cell("w", 0, 2)     # third attempt succeeds
+        with config.override(inject_fault="fail:index=0,times=2"):
+            for attempt in (0, 1):
+                with pytest.raises(fi.InjectedFault):
+                    fi.fire_cell("w", 0, attempt)
+            fi.fire_cell("w", 0, 2)     # third attempt succeeds
 
     def test_crash_is_noop_in_main_process(self):
         # A crash directive only ever kills pool workers; firing it
         # here (the main test process) must be survivable.
-        fi.install("crash:index=0")
-        fi.fire_cell("w", 0, 0)
+        with config.override(inject_fault="crash:index=0"):
+            fi.fire_cell("w", 0, 0)
 
     def test_stall_sleeps(self, monkeypatch):
         naps = []
         monkeypatch.setattr(fi.time, "sleep", naps.append)
-        fi.install("stall:index=1,seconds=0.5")
-        fi.fire_cell("w", 1, 0)
-        assert naps == [0.5]
+        with config.override(inject_fault="stall:index=1,seconds=0.5"):
+            fi.fire_cell("w", 1, 0)
+            assert naps == [0.5]
 
 
 class TestCorruptFile:
@@ -143,17 +141,17 @@ class TestCorruptFile:
         assert a.read_bytes()[256:] == b"y" * 44   # tail untouched
 
     def test_fire_cache_store_counts_times(self, tmp_path):
-        fi.install("corrupt:name=w,times=1")
-        path = self._file(tmp_path)
-        assert fi.fire_cache_store("w", path) is True
-        path.write_bytes(b"x" * 100)               # "regenerated"
-        assert fi.fire_cache_store("w", path) is False
-        assert path.read_bytes() == b"x" * 100
+        with config.override(inject_fault="corrupt:name=w,times=1"):
+            path = self._file(tmp_path)
+            assert fi.fire_cache_store("w", path) is True
+            path.write_bytes(b"x" * 100)               # "regenerated"
+            assert fi.fire_cache_store("w", path) is False
+            assert path.read_bytes() == b"x" * 100
 
     def test_fire_cache_store_ignores_other_names(self, tmp_path):
-        fi.install("corrupt:name=w")
-        path = self._file(tmp_path)
-        assert fi.fire_cache_store("other", path) is False
+        with config.override(inject_fault="corrupt:name=w"):
+            path = self._file(tmp_path)
+            assert fi.fire_cache_store("other", path) is False
 
 
 class TestServeDirectives:
@@ -189,15 +187,15 @@ class TestServeDirectives:
         assert not d.matches_store("db_vortex")
 
     def test_fire_serve_counts_per_process(self):
-        fi.install("serve:drop,times=2")
-        assert len(fi.fire_serve("predict")) == 1
-        assert len(fi.fire_serve("predict")) == 1
-        assert fi.fire_serve("predict") == []
+        with config.override(inject_fault="serve:drop,times=2"):
+            assert len(fi.fire_serve("predict")) == 1
+            assert len(fi.fire_serve("predict")) == 1
+            assert fi.fire_serve("predict") == []
 
     def test_fire_serve_op_scoped(self):
-        fi.install("serve:drop,op=timing")
-        assert fi.fire_serve("predict") == []
-        assert len(fi.fire_serve("timing")) == 1
+        with config.override(inject_fault="serve:drop,op=timing"):
+            assert fi.fire_serve("predict") == []
+            assert len(fi.fire_serve("timing")) == 1
 
     def test_fire_serve_empty_without_plan(self):
         assert fi.fire_serve("predict") == []

@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from repro import config
 from repro.testing import faults as fi
 from repro.trace import cache as trace_cache
 from repro.trace import serialize
@@ -28,12 +29,7 @@ def _store_entry(directory, value):
 @pytest.fixture(autouse=True)
 def _clean_config(monkeypatch):
     monkeypatch.delenv(trace_cache.ENV_VAR, raising=False)
-    monkeypatch.delenv(fi.ENV_VAR, raising=False)
-    trace_cache.reset()
-    fi.install(None)
-    yield
-    trace_cache.reset()
-    fi.install(None)
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
 
 
 class TestKeyScheme:
@@ -159,16 +155,17 @@ class TestFailureModes:
 
     def test_injected_store_corruption(self, tmp_path):
         """A store corrupted in flight is caught on the next load."""
-        fi.install("corrupt:name=w,mode=truncate")
         cache = TraceCache(tmp_path)
-        path = cache.store("w", 1.0, _trace("w"))
-        assert cache.load("w", 1.0) is None
-        assert cache.stats.corrupt == 1
-        assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
-        # The directive is spent (times=1), so regeneration sticks.
-        fetched = cache.fetch("w", 1.0, producer=lambda n, s: _trace(n))
-        assert fetched.name == "w"
-        assert cache.load("w", 1.0) is not None
+        with config.override(inject_fault="corrupt:name=w,mode=truncate"):
+            path = cache.store("w", 1.0, _trace("w"))
+            assert cache.load("w", 1.0) is None
+            assert cache.stats.corrupt == 1
+            assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
+            # The directive is spent (times=1), so regeneration sticks.
+            fetched = cache.fetch("w", 1.0,
+                                  producer=lambda n, s: _trace(n))
+            assert fetched.name == "w"
+            assert cache.load("w", 1.0) is not None
 
     def test_concurrent_stores_of_same_entry(self, tmp_path):
         procs = [multiprocessing.Process(target=_store_entry,

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import config
 from repro.trace import cache as cache_mod
 from repro.trace import shards
 from repro.trace.cache import TraceCache
@@ -116,31 +117,27 @@ class TestShardRoundtrip:
 
 
 class TestShardRowsKnob:
-    def setup_method(self):
-        shards.set_shard_rows(None)
-
-    def teardown_method(self):
-        shards.set_shard_rows(None)
-
     def test_explicit_set_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(shards.ENV_VAR, "123")
-        shards.set_shard_rows(77)
-        assert shards.get_shard_rows() == 77
-        shards.set_shard_rows(0)        # explicit off beats env on
-        assert not shards.sharding_enabled()
+        monkeypatch.setenv("REPRO_SHARD_ROWS", "123")
+        with config.override(shard_rows=77):
+            assert config.active().shard_rows == 77
+        with config.override(shard_rows=0):   # explicit off beats env on
+            assert not config.active().shard_rows
+        assert config.active().shard_rows == 123
 
     def test_env_var_applies_when_unset(self, monkeypatch):
-        monkeypatch.setenv(shards.ENV_VAR, "4096")
-        assert shards.get_shard_rows() == 4096
-        assert shards.sharding_enabled()
+        monkeypatch.setenv("REPRO_SHARD_ROWS", "4096")
+        assert config.active().shard_rows == 4096
 
     def test_invalid_env_falls_back_off(self, monkeypatch):
-        monkeypatch.setenv(shards.ENV_VAR, "banana")
-        assert shards.get_shard_rows() == 0
+        monkeypatch.setenv("REPRO_SHARD_ROWS", "banana")
+        with pytest.warns(RuntimeWarning, match="REPRO_SHARD_ROWS"):
+            assert config.active().shard_rows == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            shards.set_shard_rows(-1)
+            with config.override(shard_rows=-1):
+                pass
 
 
 def _producer_for(trace):
@@ -217,8 +214,7 @@ class TestShardedCache:
         assert cache.stats.corrupt == 1
         assert not entry.exists()
 
-    def test_lru_bound_evicts_whole_shard_sets(self, tmp_path,
-                                               monkeypatch):
+    def test_lru_bound_evicts_whole_shard_sets(self, tmp_path):
         trace = _random_trace(7)
         cache = TraceCache(tmp_path)
         for scale in (1.0, 2.0, 3.0):
@@ -230,9 +226,8 @@ class TestShardedCache:
         one_entry = sum(f.stat().st_size
                         for f in entries[0].rglob("*") if f.is_file())
         # Bound to ~one entry: the two least-recently-used sets go.
-        monkeypatch.setenv(cache_mod.MAX_BYTES_ENV_VAR,
-                           str(int(one_entry * 1.5)))
-        removed = cache.enforce_size_bound(keep=entries[2])
+        with config.override(trace_cache_max_bytes=int(one_entry * 1.5)):
+            removed = cache.enforce_size_bound(keep=entries[2])
         assert removed == 2 and cache.stats.evictions == 2
         assert not entries[0].exists() and not entries[1].exists()
         assert entries[2].exists()
@@ -241,13 +236,13 @@ class TestShardedCache:
                      if p.name.endswith(".npz") and p.is_file()]
         assert not leftovers
 
-    def test_unbounded_cache_never_evicts(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cache_mod.MAX_BYTES_ENV_VAR, raising=False)
+    def test_unbounded_cache_never_evicts(self, tmp_path):
         trace = _random_trace(8)
         cache = TraceCache(tmp_path)
-        cache.fetch_sharded(trace.name, 1.0, 64,
-                            producer=_producer_for(trace))
-        assert cache.enforce_size_bound() == 0
+        with config.override(trace_cache_max_bytes=0):
+            cache.fetch_sharded(trace.name, 1.0, 64,
+                                producer=_producer_for(trace))
+            assert cache.enforce_size_bound() == 0
         assert cache.stats.evictions == 0
 
 
