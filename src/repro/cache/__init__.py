@@ -1,9 +1,8 @@
-"""Cache models: set-associative caches, the LVC, hierarchy, ports."""
+"""Cache models: set-associative caches and the LVC."""
 
 from repro.cache.cache import (Cache, CacheConfig, CacheStats,
                                l1_data_cache, l2_cache,
                                local_variable_cache)
-from repro.cache.hierarchy import AccessResult, Hierarchy, PortManager
 from repro.cache.lvc import (StackCacheResult, lvc_size_sweep,
                              stack_cache_hit_rate)
 
@@ -14,9 +13,6 @@ __all__ = [
     "l1_data_cache",
     "l2_cache",
     "local_variable_cache",
-    "AccessResult",
-    "Hierarchy",
-    "PortManager",
     "StackCacheResult",
     "lvc_size_sweep",
     "stack_cache_hit_rate",

@@ -9,7 +9,7 @@ write-allocate, the common choice for the paper's era of L1 designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Set
 
 
 @dataclass(frozen=True)
@@ -79,40 +79,45 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.n_sets - 1
-        # Per set: list of [tag, dirty] in LRU order (front = LRU).
-        self._sets: List[List[List]] = [[] for _ in range(config.n_sets)]
-
-    def _locate(self, addr: int):
-        line = addr >> self._line_shift
-        return line & self._set_mask, line >> (self._set_mask.bit_length())
+        self._assoc = config.assoc
+        # Per set: resident line numbers (addr >> line bits) in LRU
+        # order (front = LRU); a line number names its set and tag.
+        self._sets: List[List[int]] = [[] for _ in range(config.n_sets)]
+        self._dirty: Set[int] = set()
 
     def lookup(self, addr: int) -> bool:
         """Probe without updating state or statistics."""
-        set_index, tag = self._locate(addr)
-        return any(entry[0] == tag for entry in self._sets[set_index])
+        line = addr >> self._line_shift
+        return line in self._sets[line & self._set_mask]
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Reference one address; fills on miss; returns hit/miss."""
-        set_index, tag = self._locate(addr)
-        ways = self._sets[set_index]
-        for i, entry in enumerate(ways):
-            if entry[0] == tag:
-                ways.append(ways.pop(i))   # promote to MRU
-                if is_write:
-                    entry[1] = True
-                self.stats.hits += 1
-                return True
-        self.stats.misses += 1
-        if len(ways) >= self.config.assoc:
+        line = addr >> self._line_shift
+        ways = self._sets[line & self._set_mask]
+        stats = self.stats
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)       # promote to MRU
+                ways.append(line)
+            if is_write:
+                self._dirty.add(line)
+            stats.hits += 1
+            return True
+        stats.misses += 1
+        if len(ways) >= self._assoc:
             victim = ways.pop(0)
-            self.stats.evictions += 1
-            if victim[1]:
-                self.stats.writebacks += 1
-        ways.append([tag, is_write])
+            stats.evictions += 1
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                stats.writebacks += 1
+        ways.append(line)
+        if is_write:
+            self._dirty.add(line)
         return False
 
     def invalidate_all(self) -> None:
         self._sets = [[] for _ in range(self.config.n_sets)]
+        self._dirty = set()
 
     @property
     def resident_lines(self) -> int:

@@ -335,8 +335,9 @@ def open_trace(name: str, scale: float) -> Iterator:
     Yields the trace *handle*: with sharding enabled (``--shard-rows``
     / ``REPRO_SHARD_ROWS``) a :class:`ShardedTrace` whose chunks
     stream through the reductions one shard at a time, otherwise the
-    in-RAM :class:`Trace` (one chunk).  Consumers that need records
-    (timing, LVC, hint steering) call ``.materialize()`` on it.  The
+    in-RAM :class:`Trace` (one chunk).  Consumers that need the whole
+    trace in RAM (timing, LVC, hint steering) call ``.materialize()``
+    on it; none of them builds record objects.  The
     workload's ``cpu.*`` metrics are published exactly once, from the
     shard manifest's tallies when sharded (no shard I/O).  On exit
     exactly this ``(name, scale)`` entry is evicted from the suite memo

@@ -3,8 +3,7 @@
 from repro.timing.config import (DEFAULT_LATENCIES, MachineConfig,
                                  conventional_config, decoupled_config,
                                  figure8_configs)
-from repro.timing.machine import InflightOp, TimingResult, TimingSimulator, \
-    simulate
+from repro.timing.machine import TimingResult, simulate
 from repro.timing.value_pred import StrideValuePredictor
 
 __all__ = [
@@ -13,9 +12,7 @@ __all__ = [
     "conventional_config",
     "decoupled_config",
     "figure8_configs",
-    "InflightOp",
     "TimingResult",
-    "TimingSimulator",
     "simulate",
     "StrideValuePredictor",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.predictor.contexts import CONTEXT_KINDS
 from repro.trace.records import (OC_BRANCH, OC_CALL, OC_FALU, OC_FDIV,
                                  OC_FMUL, OC_IALU, OC_IDIV, OC_IMUL,
                                  OC_JUMP, OC_LOAD, OC_RET, OC_STORE,
@@ -149,6 +150,19 @@ class MachineConfig:
             raise ValueError("decoupled configs need arpt/oracle steering")
         if not self.decoupled and self.steering != "lsq-only":
             raise ValueError("steering without an LVC pipeline")
+        if self.l1_ports <= 0:
+            raise ValueError("a cache needs at least one port")
+        tables = (("arpt_size", self.arpt_size, self.steering == "arpt"),
+                  ("vp_entries", self.vp_entries, self.value_predict),
+                  ("bpred_entries", self.bpred_entries,
+                   self.branch_predictor == "gshare"))
+        for field, size, used in tables:
+            if used and size is not None and (size <= 0 or size & (size - 1)):
+                raise ValueError(f"{field} must be a power of two")
+        if self.arpt_context not in CONTEXT_KINDS:
+            raise ValueError(f"unknown ARPT context {self.arpt_context!r}")
+        if self.arpt_gbh_bits < 0 or self.arpt_cid_bits < 0:
+            raise ValueError("context bit widths must be non-negative")
 
 
 def conventional_config(ports: int, l1_latency: int = 2,

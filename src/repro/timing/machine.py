@@ -13,71 +13,61 @@ front end), a stride value predictor, and a memory system that is either
 The LVAQ implements the paper's *fast forwarding*: because stack
 addresses are $sp/$fp-relative, its loads do not wait for earlier
 unknown store addresses the way conservative LSQ scheduling does.
+
+The machine is columnar.  Everything about a dynamic instruction that
+no machine state can change - its register producers, load/store kind,
+address, functional unit, the stride value predictor's verdict,
+the gshare verdict, the ARPT context - is derived once per trace with
+NumPy (:class:`TimingPrepass`) and shared by every configuration
+simulated on that trace.  The cycle loop then keeps its dynamic state
+(ROB, ready list, queues, fences, forwarding index, ARPT table, events)
+in flat per-row lists indexed by the instruction's trace position and
+in integer-keyed event lists; it never builds a per-instruction object.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import metrics
 from repro.obs import spans
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.hierarchy import BankManager, Hierarchy, PortManager
-from repro.predictor.arpt import ARPT
-from repro.predictor.contexts import ContextTracker, context_function
-from repro.predictor.static_rules import mode_is_definitive, \
-    static_predicts_stack
+from repro.predictor.arpt import PC_SHIFT
+from repro.predictor.evaluate import _hint_tags_for, _ReplayPrepass
 from repro.timing.branch_pred import GsharePredictor
 from repro.timing.config import FU_CLASS, MachineConfig
 from repro.timing.tlb import DataTLB
 from repro.timing.value_pred import StrideValuePredictor
-from repro.trace.records import (MODE_OTHER, OC_BRANCH, OC_LOAD, OC_STORE,
-                                 REGION_HEAP, REGION_STACK, Trace,
-                                 TraceRecord)
+from repro.trace.records import (MODE_OTHER, MODE_STACK, OC_BRANCH,
+                                 OC_LOAD, OC_STORE, REGION_HEAP,
+                                 REGION_STACK, Trace)
 
 _LSQ = 0
 _LVAQ = 1
 
+#: Functional-unit classes; a row's FU is an index into this tuple.
+_FU_NAMES: Tuple[str, ...] = tuple(sorted(set(FU_CLASS.values())))
 
-class InflightOp:
-    """One dynamic instruction in the machine."""
+#: Per-row memory kinds (``TimingPrepass.kind``).
+_NOT_MEM, _LOAD, _STORE = 0, 1, 2
 
-    __slots__ = ("rec", "seq", "deps_remaining", "consumers", "completed",
-                 "value_bypassed", "queue", "addr_known", "mem_issued",
-                 "data_producer", "context", "predicted_stack",
-                 "wrong_queue", "retry_at", "is_load", "is_store",
-                 "tlb_done")
+#: Per-row steering codes (see ``_steering``): a fixed queue
+#: (``_LSQ``/``_LVAQ``), or ``_ARPT`` for a rule-4 row with no compiler
+#: hint, which the ARPT predicts at dispatch and which trains the table
+#: at verification.
+_ARPT = 2
 
-    def __init__(self, rec: TraceRecord, seq: int) -> None:
-        self.rec = rec
-        self.seq = seq
-        self.deps_remaining = 0
-        self.consumers: List["InflightOp"] = []
-        self.completed = False
-        self.value_bypassed = False
-        self.queue: Optional[int] = None
-        self.addr_known = False
-        self.mem_issued = False
-        self.data_producer: Optional["InflightOp"] = None
-        self.context = 0
-        self.predicted_stack = False
-        self.wrong_queue = False
-        self.retry_at = 0
-        self.is_load = rec.op_class == OC_LOAD
-        self.is_store = rec.op_class == OC_STORE
-        self.tlb_done = False
-
-    @property
-    def data_ready(self) -> bool:
-        producer = self.data_producer
-        return (producer is None or producer.completed
-                or producer.value_bypassed)
-
-    def __lt__(self, other: "InflightOp") -> bool:
-        return self.seq < other.seq
+#: Event kinds, packed with the row as ``row << 2 | kind``.
+_EV_COMPLETE = 0
+_EV_TRANSLATE = 1     # address generated: TLB lookup, then verify
+_EV_REPAIR = 2
+_EV_TRANSLATED = 3    # page walk done: verify without a TLB lookup
 
 
 @dataclass
@@ -118,633 +108,714 @@ class TimingResult:
         return 1.0 - self.arpt_mispredictions / self.arpt_predictions
 
 
-class TimingSimulator:
-    """Runs one trace through one machine configuration.
+# -- per-trace precompute ------------------------------------------------
 
-    ``hints`` (optional) are per-PC stack/non-stack tags from the
-    Figure-6 compiler analysis: tagged instructions steer by their tag
-    and bypass the ARPT, the paper's Section 3.5.2 scenario of
-    compiler-assisted decoupling.
+def _last_writer(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Row of the youngest earlier writer of each row's ``src`` register
+    (-1 when none): the in-order rename map's answer at dispatch.
+
+    Writers are rows with ``dst > 0`` (register 0 is hardwired).  Each
+    writer and each query becomes the key ``register * n + row``; a
+    query's producer is the largest writer key below its own, if that
+    key names the same register.
+    """
+    n = len(dst)
+    rows = np.arange(n, dtype=np.int64)
+    writers = np.flatnonzero(dst > 0)
+    keys = np.sort(dst[writers].astype(np.int64) * n + writers)
+    producer = np.full(n, -1, dtype=np.int64)
+    asks = np.flatnonzero(src >= 0)
+    if len(keys) == 0 or len(asks) == 0:
+        return producer
+    reg = src[asks].astype(np.int64)
+    slot = np.searchsorted(keys, reg * n + rows[asks]) - 1
+    found = keys[np.maximum(slot, 0)]
+    hit = (slot >= 0) & (found // n == reg)
+    producer[asks[hit]] = found[hit] % n
+    return producer
+
+
+def _value_bypass(columns, entries: int, confidence: int) -> np.ndarray:
+    """Rows whose result the stride value predictor supplies early: every
+    valued row, in trace order, through
+    :meth:`StrideValuePredictor.observe`."""
+    rows = np.flatnonzero(columns.value_valid)
+    hit = np.zeros(len(columns), dtype=np.bool_)
+    observe = StrideValuePredictor(entries, confidence).observe
+    hit[rows] = [observe(pc, value) for pc, value in
+                 zip(columns.pc[rows].tolist(), columns.value[rows].tolist())]
+    return hit
+
+
+def _gshare_mispredicts(columns, entries: int,
+                        history_bits: int) -> np.ndarray:
+    """Branch rows the gshare front end mispredicts (trace order)."""
+    n = len(columns)
+    branches = np.flatnonzero(columns.op_class == OC_BRANCH)
+    wrong = np.zeros(n, dtype=np.bool_)
+    bpred = GsharePredictor(entries, history_bits)
+    predict = bpred.predict_and_update
+    wrong[branches] = [not predict(pc, taken) for pc, taken in
+                       zip(columns.pc[branches].tolist(),
+                           columns.taken[branches].tolist())]
+    return wrong
+
+
+class TimingPrepass:
+    """Everything about a trace's rows that no machine state changes.
+
+    Built once per :class:`~repro.trace.records.Trace` object (see
+    :func:`prepass_of`) and shared by every configuration simulated on
+    it.  The config-independent columns are plain Python lists indexed
+    by row, ready for the cycle loop; the parts that depend on a few
+    config fields are derived on first request and memoised here, keyed
+    by exactly those fields:
+
+    * ``value_bypass(vp_entries, vp_confidence)``
+    * ``mispredicts(bpred_entries, bpred_history_bits)``
+    * ``contexts(arpt_context, arpt_gbh_bits, arpt_cid_bits)``
+    * ``latencies(latencies)``
     """
 
-    def __init__(self, config: MachineConfig, hints=None,
-                 idle_skip: bool = True) -> None:
-        config.validate()
-        self.config = config
-        self.idle_skip = idle_skip
-        line = config.line_size
-        self._l1 = Cache(CacheConfig("L1D", config.l1_size, config.l1_assoc,
-                                     line, config.l1_latency))
-        self._l2 = Cache(CacheConfig("L2", config.l2_size, config.l2_assoc,
-                                     line, config.l2_latency))
-        self._l1_hier = Hierarchy(self._l1, self._l2, config.memory_latency)
-        if config.l1_port_policy == "banks":
-            self._l1_ports = BankManager(config.l1_ports, line)
+    __slots__ = ("columns", "n", "kind", "fu", "addr", "src1_producer",
+                 "src2_producer", "mem_rows", "is_stack", "_memo")
+
+    def __init__(self, columns) -> None:
+        self.columns = columns
+        n = self.n = len(columns)
+        op = columns.op_class
+        kind = np.zeros(n, dtype=np.int8)
+        kind[op == OC_LOAD] = _LOAD
+        kind[op == OC_STORE] = _STORE
+        self.kind = bytearray(kind.tobytes())
+        fu_lut = np.full(256, -1, dtype=np.int64)
+        for op_class, name in FU_CLASS.items():
+            fu_lut[op_class] = _FU_NAMES.index(name)
+        fu = fu_lut[op.astype(np.int64) & 0xFF]
+        if n and int(fu.min()) < 0:
+            raise KeyError(int(op[fu < 0][0]))
+        self.fu = bytearray(fu.astype(np.uint8).tobytes())
+        self.addr = columns.addr.tolist()
+        # For a store, src1 is the address base (a true dependence) and
+        # src2 the data register, which only gates its memory access.
+        self.src1_producer = _last_writer(columns.dst, columns.src1).tolist()
+        self.src2_producer = _last_writer(columns.dst, columns.src2).tolist()
+        self.mem_rows = np.flatnonzero(kind != _NOT_MEM)
+        self.is_stack = bytearray(
+            (columns.region == REGION_STACK).astype(np.uint8).tobytes())
+        self._memo: Dict[tuple, object] = {}
+
+    def _memoised(self, key: tuple, build):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def value_bypass(self, entries: int, confidence: int) -> bytearray:
+        """Per-row 1 where the value predictor bypasses the result."""
+        return self._memoised(
+            ("vp", entries, confidence),
+            lambda: bytearray(_value_bypass(self.columns, entries,
+                                            confidence).tobytes()))
+
+    def mispredicts(self, entries: int, history_bits: int) -> bytearray:
+        """Per-row 1 on the branches gshare mispredicts."""
+        return self._memoised(
+            ("gshare", entries, history_bits),
+            lambda: bytearray(_gshare_mispredicts(
+                self.columns, entries, history_bits).tobytes()))
+
+    def contexts(self, kind: str, gbh_bits: int,
+                 cid_bits: int) -> np.ndarray:
+        """ARPT context of each memory row (``mem_rows`` order)."""
+        def build():
+            replay = self._memoised(
+                ("replay", gbh_bits, cid_bits),
+                lambda: _ReplayPrepass(self.columns, gbh_bits, cid_bits))
+            return replay.context(kind)
+        return self._memoised(("context", kind, gbh_bits, cid_bits), build)
+
+    def latencies(self, table: Tuple[Tuple[int, int], ...]) -> List[int]:
+        """Per-row execution latency of the non-memory rows."""
+        def build():
+            lut = np.full(256, -1, dtype=np.int64)
+            for op_class, latency in table:
+                lut[op_class] = latency
+            per_row = lut[self.columns.op_class.astype(np.int64) & 0xFF]
+            missing = per_row < 0
+            missing[self.mem_rows] = False
+            if missing.any():
+                raise KeyError(f"no latency for op class "
+                               f"{int(self.columns.op_class[missing][0])}")
+            return per_row.tolist()
+        return self._memoised(("latency", table), build)
+
+
+def prepass_of(trace: Trace) -> TimingPrepass:
+    """The trace's :class:`TimingPrepass`, built on first use.
+
+    It lives in the ``Trace`` object's ``timing_prepass`` slot and so
+    dies with it; it is never stored on the (possibly shared) columnar
+    view or in a module-level memo.
+    """
+    prepass = trace.timing_prepass
+    if prepass is None:
+        with spans.span("timing:prepass", workload=trace.name):
+            prepass = trace.timing_prepass = TimingPrepass(trace.columns)
+    return prepass
+
+
+# -- per-config steering -------------------------------------------------
+
+def _steering(prepass: TimingPrepass, config: MachineConfig, hints)\
+        -> Tuple[bytearray, bytearray, List[int]]:
+    """Per-row steering of one (trace, config, hints) run: the steering
+    code (a queue, or ``_ARPT``), the queue the verified region belongs
+    in, and the ARPT table index."""
+    n = prepass.n
+    mem = prepass.mem_rows
+    columns = prepass.columns
+    steer = np.zeros(n, dtype=np.uint8)
+    correct = np.zeros(n, dtype=np.uint8)
+    index = np.zeros(n, dtype=np.int64)
+    if config.decoupled:
+        region = columns.region[mem]
+        stack = region == REGION_STACK
+        if config.steering == "oracle-heap":
+            correct[mem] = region == REGION_HEAP
         else:
-            self._l1_ports = PortManager(config.l1_ports)
-        if config.decoupled:
-            self._lvc = Cache(CacheConfig("LVC", config.lvc_size, 1, line,
-                                          config.lvc_latency))
-            self._lvc_hier = Hierarchy(self._lvc, self._l2,
-                                       config.memory_latency)
-            self._lvc_ports = PortManager(config.lvc_ports)
-        else:
-            self._lvc = None
-            self._lvc_hier = None
-            self._lvc_ports = None
-        self._arpt = (ARPT(size=config.arpt_size, bits=1)
-                      if config.steering == "arpt" else None)
-        self._hint_tags = dict(hints.tags) if hints is not None else {}
-        self._tracker = ContextTracker(gbh_bits=config.arpt_gbh_bits,
-                                       cid_bits=config.arpt_cid_bits)
-        self._context_fn = context_function(self._tracker,
-                                            config.arpt_context)
-        self._vp = (StrideValuePredictor(config.vp_entries,
-                                         config.vp_confidence)
-                    if config.value_predict else None)
-        self._bpred = (GsharePredictor(config.bpred_entries,
-                                       config.bpred_history_bits)
-                       if config.branch_predictor == "gshare" else None)
-        self._tlb = (DataTLB(config.tlb_entries, config.tlb_page_size)
-                     if config.tlb_entries else None)
-        self._fetch_blocked_by: Optional[InflightOp] = None
-        self._fetch_resume_cycle = 0
-        # O(1) issue-latency lookup (config.latency_of walks a tuple).
-        self._latency = dict(config.latencies)
-        # Run state.
-        self._queues: List[List[InflightOp]] = [[], []]
-        self._rob: List[InflightOp] = []
-        self._rob_head = 0
-        self._ready: List[InflightOp] = []   # ops with deps satisfied
-        self._events: Dict[int, List] = {}
-        # Incremental memory-scheduler state (one slot per queue), so
-        # each cycle touches only the entries that could actually act
-        # instead of rescanning whole queues:
-        #   _mem_pending   seq-sorted issuable candidates (address
-        #                  resolved, not yet issued, correctly steered)
-        #   _unknown_stores  lazy min-heap of stores whose address is
-        #                  still unresolved (ordering fences)
-        #   _wrong_stores  mis-steered stores awaiting repair (these
-        #                  fence like unknown-address stores)
-        #   _stores_by_word  queue stores keyed by aligned word, the
-        #                  forwarding index (trace-driven: a record's
-        #                  address is known to the model up front)
-        self._mem_pending: List[List[InflightOp]] = [[], []]
-        self._unknown_stores: List[List[InflightOp]] = [[], []]
-        self._wrong_stores: List[List[InflightOp]] = [[], []]
-        self._stores_by_word: List[Dict[int, List[InflightOp]]] = \
-            [{}, {}]
-        self._reg_producer: List[Optional[InflightOp]] = [None] * 64
-        # Statistics.
-        self.store_forwards = 0
-        self.port_stalls = 0
-        self.arpt_predictions = 0
-        self.arpt_mispredictions = 0
-        self.vp_bypasses = 0
-        self.issue_stalls = 0
-        self.repairs = 0
-        self._peak = [0, 0]
-
-    # ------------------------------------------------------------------
-
-    def run(self, trace: Trace) -> TimingResult:
-        config = self.config
-        records = trace.records
-        total = len(records)
-        dispatch_ptr = 0
-        committed = 0
-        cycle = 0
-        max_cycles = 200 * total + 100_000
-
-        idle_skip = self.idle_skip
-        while committed < total:
-            if cycle > max_cycles:
-                raise RuntimeError(
-                    f"timing simulation wedged at cycle {cycle} "
-                    f"({committed}/{total} committed)")
-            # 1. Writeback / address-ready / repair events.
-            events = self._events.pop(cycle, ())
-            for kind, op in events:
-                if kind == 0:       # completion
-                    self._complete(op)
-                    if op is self._fetch_blocked_by:
-                        self._fetch_resume_cycle = cycle \
-                            + config.branch_redirect_penalty
-                elif kind == 1:     # translate -> verify region
-                    if self._tlb is not None and not op.tlb_done:
-                        op.tlb_done = True
-                        if not self._tlb.access(op.rec.addr):
-                            # Page walk: translation (and hence region
-                            # verification) completes after the penalty.
-                            self._post(
-                                cycle + config.tlb_miss_penalty, 1, op)
-                            continue
-                    op.addr_known = True
-                    self._verify_region(op, cycle)
-                    if op.wrong_queue:
-                        # Fences its queue until repaired (stores only;
-                        # a mis-steered load just waits).
-                        if op.is_store:
-                            self._wrong_stores[op.queue].append(op)
-                    else:
-                        bisect.insort(self._mem_pending[op.queue], op)
-                else:               # repair: move to the correct queue
-                    self._repair(op)
-            # 2. Commit (frees ROB and queue slots for this cycle's
-            #    dispatch).
-            commit_count = self._commit()
-            committed += commit_count
-            # 3. Memory scheduling.
-            mem_active = self._schedule_memory(_LSQ, cycle)
-            if config.decoupled:
-                mem_active |= self._schedule_memory(_LVAQ, cycle)
-            # 4. Issue.
-            self._issue(cycle)
-            # 5. Dispatch.
-            new_ptr = self._dispatch(records, dispatch_ptr, cycle)
-            # 6. Idle-cycle skip.  A cycle with no events, no commit, no
-            #    memory activity (issued OR port-stalled), an empty ready
-            #    list, and no dispatch progress changes nothing; every
-            #    machine state transition except the fetch-redirect timer
-            #    is event-driven, so jump straight to the next event (or
-            #    the fetch resume point) instead of spinning.  Skipped
-            #    cycles replay as exact no-ops: counters (issue/port
-            #    stalls) only move on non-idle cycles, keeping results
-            #    byte-identical to the cycle-by-cycle walk.
-            if idle_skip and not events and not commit_count \
-                    and not mem_active and new_ptr == dispatch_ptr \
-                    and not self._ready and committed < total:
-                target = None
-                if self._events:
-                    target = min(self._events)
-                blocker = self._fetch_blocked_by
-                if blocker is not None and blocker.completed:
-                    resume = self._fetch_resume_cycle
-                    if target is None or resume < target:
-                        target = resume
-                cycle = target if target is not None \
-                    and target > cycle else cycle + 1
-            else:
-                cycle += 1
-            dispatch_ptr = new_ptr
-
-        self._publish_metrics(total, cycle)
-        lvc_stats = self._lvc.stats if self._lvc is not None else None
-        return TimingResult(
-            config_name=config.name,
-            trace_name=trace.name,
-            instructions=total,
-            cycles=cycle,
-            l1_hit_rate=self._l1.stats.hit_rate,
-            lvc_hit_rate=(lvc_stats.hit_rate if lvc_stats is not None
-                          else None),
-            l2_hit_rate=self._l2.stats.hit_rate,
-            store_forwards=self.store_forwards,
-            port_stalls=self.port_stalls,
-            arpt_predictions=self.arpt_predictions,
-            arpt_mispredictions=self.arpt_mispredictions,
-            vp_bypasses=self.vp_bypasses,
-            lvaq_occupancy_peak=self._peak[_LVAQ],
-            lsq_occupancy_peak=self._peak[_LSQ],
-            tlb_miss_rate=(self._tlb.miss_rate
-                           if self._tlb is not None else 0.0),
-            issue_stalls=self.issue_stalls,
-            repairs=self.repairs,
-        )
-
-    def _publish_metrics(self, total: int, cycles: int) -> None:
-        """End-of-run metrics publication.
-
-        Costs one ``enabled`` check per simulation when collection is
-        off; all hot-loop accounting uses the plain integer attributes
-        above.  Names are qualified by config (and non-perfect front
-        end) so sweeps that simulate several configurations per cell
-        never collide.
-        """
-        registry = metrics.active()
-        if not registry.enabled:
-            return
-        config = self.config
-        label = config.name
-        if config.branch_predictor != "perfect":
-            label = f"{label}@{config.branch_predictor}"
-        ns = registry.scoped("timing").scoped(label)
-        ns.counter("cycles").inc(cycles)
-        ns.counter("instructions").inc(total)
-        ns.counter("issue_stalls").inc(self.issue_stalls)
-        ns.counter("port_stalls").inc(self.port_stalls)
-        ns.counter("store_forwards").inc(self.store_forwards)
-        ns.counter("repairs").inc(self.repairs)
-        ns.scoped("vp").counter("bypasses").inc(self.vp_bypasses)
-        arpt_ns = ns.scoped("arpt")
-        arpt_ns.counter("predictions").inc(self.arpt_predictions)
-        arpt_ns.counter("mispredictions").inc(self.arpt_mispredictions)
-        ns.scoped("lsq").gauge("occupancy_peak").set(self._peak[_LSQ])
-        ns.scoped("lvaq").gauge("occupancy_peak").set(self._peak[_LVAQ])
-        l1_ns = ns.scoped("l1")
-        self._l1.stats.publish(l1_ns)
-        ports_ns = l1_ns.scoped("ports")
-        ports_ns.counter("grants").inc(self._l1_ports.grants)
-        ports_ns.counter("conflicts").inc(self._l1_ports.conflicts)
-        self._l2.stats.publish(ns.scoped("l2"))
-        if self._lvc is not None:
-            lvc_ns = ns.scoped("lvc")
-            self._lvc.stats.publish(lvc_ns)
-            lvc_ports = lvc_ns.scoped("ports")
-            lvc_ports.counter("grants").inc(self._lvc_ports.grants)
-            lvc_ports.counter("conflicts").inc(self._lvc_ports.conflicts)
-        if self._tlb is not None:
-            tlb_ns = ns.scoped("tlb")
-            tlb_ns.counter("hits").inc(self._tlb.hits)
-            tlb_ns.counter("misses").inc(self._tlb.misses)
-
-    # -- dispatch -------------------------------------------------------
-
-    def _steer(self, rec: TraceRecord, op: InflightOp) -> int:
-        """Pick the queue for a memory instruction at dispatch time."""
-        config = self.config
-        if not config.decoupled:
-            return _LSQ
+            correct[mem] = stack
         if config.steering == "oracle":
-            return _LVAQ if rec.region == REGION_STACK else _LSQ
-        if config.steering == "oracle-heap":
-            return _LVAQ if rec.region == REGION_HEAP else _LSQ
-        mode = rec.mode
-        if mode_is_definitive(mode):
-            predicted = static_predicts_stack(mode)
+            steer[mem] = stack
+        elif config.steering == "oracle-heap":
+            steer[mem] = region == REGION_HEAP
         else:
-            tag = self._hint_tags.get(rec.pc)
-            if tag is not None:
-                predicted = tag          # compiler hint: bypass the ARPT
-            else:
-                op.context = self._context_fn(rec)
-                predicted = self._arpt.predict(rec.pc, op.context)
-        op.predicted_stack = predicted
-        return _LVAQ if predicted else _LSQ
+            # Rules 1-3 fix the region; a rule-4 (MODE_OTHER) row takes
+            # its compiler hint when it has one, else the ARPT's call.
+            mode = columns.mode[mem]
+            pc = columns.pc[mem]
+            tag = _hint_tags_for(pc, hints)
+            steer[mem] = np.where(mode != MODE_OTHER, mode == MODE_STACK,
+                                  np.where(tag >= 0, tag == 1, _ARPT))
+            context = prepass.contexts(config.arpt_context,
+                                       config.arpt_gbh_bits,
+                                       config.arpt_cid_bits)
+            raw = (pc >> PC_SHIFT) ^ context
+            if config.arpt_size is not None:
+                raw &= config.arpt_size - 1
+            index[mem] = raw
+    return bytearray(steer.tobytes()), bytearray(correct.tobytes()), \
+        index.tolist()
 
-    def _dispatch(self, records: List[TraceRecord], ptr: int,
-                  cycle: int) -> int:
-        config = self.config
-        # A mispredicted branch blocks the front end until it resolves
-        # plus the redirect penalty (gshare front end only).
-        blocker = self._fetch_blocked_by
-        if blocker is not None:
-            if not blocker.completed or cycle < self._fetch_resume_cycle:
-                return ptr
-            self._fetch_blocked_by = None
-        rob_free = config.rob_size - (len(self._rob) - self._rob_head)
-        width = min(config.decode_width, rob_free)
-        queue_limit = (config.lsq_size, config.lvaq_size)
-        total = len(records)
-        reg_producer = self._reg_producer
-        rob_append = self._rob.append
-        # Dispatch order is seq order and every in-flight op is older,
-        # so a freshly ready op always belongs at the tail of the
-        # (seq-sorted) ready list: plain append, no insort.
-        ready_append = self._ready.append
-        tracker = self._tracker
-        bpred = self._bpred
-        vp = self._vp
-        arpt = self._arpt
-        hint_tags = self._hint_tags
-        queues = self._queues
-        count = 0
-        while count < width and ptr < total:
-            rec = records[ptr]
-            op = InflightOp(rec, ptr)
-            mispredicted_branch = False
-            if rec.op_class == OC_BRANCH:
-                tracker.observe_branch(rec.taken)
-                if bpred is not None:
-                    mispredicted_branch = not bpred                         .predict_and_update(rec.pc, rec.taken)
-            is_store = op.is_store
-            if op.is_load or is_store:
-                queue = self._steer(rec, op)
-                if len(queues[queue]) >= queue_limit[queue]:
-                    break   # in-order dispatch stalls on a full queue
-                if arpt is not None and rec.mode == MODE_OTHER \
-                        and rec.pc not in hint_tags:
-                    self.arpt_predictions += 1
-                op.queue = queue
-                queues[queue].append(op)
-                self._peak[queue] = max(self._peak[queue],
-                                        len(queues[queue]))
-                if is_store:
-                    # Address unresolved until address generation runs;
-                    # only conservatively ordered queues consult the
-                    # fence heap, so fast-forwarding LVAQs skip it.
-                    if queue == _LSQ or not config.lvaq_fast_forwarding:
-                        heapq.heappush(self._unknown_stores[queue], op)
-                    self._stores_by_word[queue].setdefault(
-                        rec.addr >> 3, []).append(op)
-            # Register dependences.  For stores the data register is
-            # tracked separately: the address can issue before the data
-            # is ready.
-            if rec.src1 >= 0:
-                producer = reg_producer[rec.src1]
-                if producer is not None and not producer.completed \
-                        and not producer.value_bypassed:
-                    op.deps_remaining += 1
-                    producer.consumers.append(op)
-            if rec.src2 >= 0:
-                if is_store:
-                    producer = reg_producer[rec.src2]
-                    if producer is not None and not producer.completed:
-                        op.data_producer = producer
+
+# -- the cycle loop -------------------------------------------------------
+
+def _run(trace: Trace, config: MachineConfig, hints) -> TimingResult:
+    config.validate()
+    pre = prepass_of(trace)
+    n = pre.n
+    kind = pre.kind
+    fu = pre.fu
+    addr = pre.addr
+    src1_producer = pre.src1_producer
+    src2_producer = pre.src2_producer
+    is_stack = pre.is_stack
+    latency = pre.latencies(config.latencies)
+    steer, correct, arpt_index = _steering(pre, config, hints)
+    decoupled = config.decoupled
+    # The 1-bit ARPT: 1 = stack.  Tagless and direct-mapped, so a sized
+    # table is a flat byte array; the unlimited one is a sparse map.
+    if config.arpt_size is not None:
+        arpt_table = bytearray(config.arpt_size)
+    else:
+        arpt_table = defaultdict(int)
+
+    line = config.line_size
+    l1 = Cache(CacheConfig("L1D", config.l1_size, config.l1_assoc,
+                           line, config.l1_latency))
+    l2 = Cache(CacheConfig("L2", config.l2_size, config.l2_assoc,
+                           line, config.l2_latency))
+    lvc = (Cache(CacheConfig("LVC", config.lvc_size, 1, line,
+                             config.lvc_latency)) if decoupled else None)
+    tlb = (DataTLB(config.tlb_entries, config.tlb_page_size)
+           if config.tlb_entries else None)
+    tlb_access = tlb.access if tlb is not None else None
+    l2_access = l2.access
+    l2_latency = config.l2_latency
+    memory_latency = config.memory_latency
+    bank_shift = line.bit_length() - 1
+    # Conservative queues fence loads behind unresolved stores and only
+    # forward from stores whose address has resolved; a fast-forwarding
+    # LVAQ compares $sp/$fp offsets at dispatch and does neither.
+    conservative = (True, not config.lvaq_fast_forwarding)
+    queue_cap = (config.lsq_size, config.lvaq_size)
+    fu_counts = dict(config.fu_counts)
+    fu_template = [fu_counts.get(name, 0) for name in _FU_NAMES]
+    issue_width = config.issue_width
+    decode_width = config.decode_width
+    commit_width = config.commit_width
+    rob_size = config.rob_size
+    forward_latency = config.forward_latency
+    tlb_penalty = config.tlb_miss_penalty
+    region_penalty = config.region_mispredict_penalty
+    redirect_penalty = config.branch_redirect_penalty
+    redirect = (pre.mispredicts(config.bpred_entries,
+                                config.bpred_history_bits)
+                if config.branch_predictor == "gshare" else None)
+
+    # Per-row dynamic state.  A value-bypassed result is available to
+    # consumers from dispatch on; every row is dispatched exactly once,
+    # in order, so marking those rows available up front is the same.
+    if config.value_predict:
+        bypass = pre.value_bypass(config.vp_entries, config.vp_confidence)
+        available = bytearray(bypass)
+        vp_bypasses = bypass.count(1)
+    else:
+        available = bytearray(n)
+        vp_bypasses = 0
+    completed = bytearray(n)
+    addr_known = bytearray(n)
+    waiting = [0] * n                 # unresolved source operands
+    consumers: List[Optional[List[int]]] = [None] * n
+    queue_of = [-1] * n
+    # Per-queue state: occupancy, issuable candidates (seq-sorted),
+    # unresolved-store fence heap, mis-steered stores awaiting repair,
+    # and the store-forwarding index keyed by aligned word.
+    occupancy = [0, 0]
+    peak = [0, 0]
+    pending: Tuple[List[int], List[int]] = ([], [])
+    unresolved: Tuple[List[int], List[int]] = ([], [])
+    wrong_stores: Tuple[List[int], List[int]] = ([], [])
+    stores_by_word: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = \
+        ({}, {})
+    grants = [0, 0]
+    conflicts = [0, 0]
+    # What the memory scheduler needs per queue: its candidates, fence
+    # sources and forwarding index, then its first-level cache with the
+    # hit latency, port count and bank count (0 = true multi-porting).
+    schedulers = [(_LSQ, pending[_LSQ], conservative[_LSQ],
+                   unresolved[_LSQ], wrong_stores[_LSQ],
+                   stores_by_word[_LSQ], l1.access, config.l1_latency,
+                   config.l1_ports,
+                   config.l1_ports if config.l1_port_policy == "banks"
+                   else 0)]
+    if decoupled:
+        schedulers.append((_LVAQ, pending[_LVAQ], conservative[_LVAQ],
+                           unresolved[_LVAQ], wrong_stores[_LVAQ],
+                           stores_by_word[_LVAQ], lvc.access,
+                           config.lvc_latency, config.lvc_ports, 0))
+    events: Dict[int, List[int]] = defaultdict(list)
+    ready: List[int] = []     # seq-sorted rows with operands ready
+    insort = bisect.insort
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    store_forwards = 0
+    arpt_predictions = 0
+    arpt_mispredictions = 0
+    issue_stalls = 0
+    repairs = 0
+    head = 0              # oldest uncommitted row (the ROB is [head, ptr))
+    ptr = 0               # next row to dispatch
+    blocked = -1          # mispredicted branch holding the front end
+    resume = 0
+    cycle = 0
+    max_cycles = 200 * n + 100_000
+
+    while head < n:
+        if cycle > max_cycles:
+            raise RuntimeError(
+                f"timing simulation wedged at cycle {cycle} "
+                f"({head}/{n} committed)")
+        # 1. Writeback / address-ready / repair events.
+        fired = events.pop(cycle, None)
+        if fired is not None:
+            for event in fired:
+                row = event >> 2
+                event_kind = event & 3
+                if event_kind == _EV_COMPLETE:
+                    completed[row] = 1
+                    available[row] = 1
+                    woken = consumers[row]
+                    if woken is not None:
+                        consumers[row] = None
+                        for consumer in woken:
+                            left = waiting[consumer] - 1
+                            waiting[consumer] = left
+                            if not left:
+                                insort(ready, consumer)
+                    if row == blocked:
+                        resume = cycle + redirect_penalty
+                elif event_kind == _EV_REPAIR:
+                    # Move a mis-steered op to its correct queue.  A
+                    # reserved repair slot lets the move succeed even
+                    # when the target queue is architecturally full;
+                    # this avoids a (rare) deadlock the real machine
+                    # resolves by squashing, which the trace-driven
+                    # model does not replay.
+                    repairs += 1
+                    previous = queue_of[row]
+                    target = correct[row]
+                    occupancy[previous] -= 1
+                    if kind[row] == _STORE:
+                        wrong_stores[previous].remove(row)
+                        key = addr[row] >> 3
+                        old_words = stores_by_word[previous]
+                        entries = old_words[key]
+                        entries.remove(row)
+                        if not entries:
+                            del old_words[key]
+                        entries = stores_by_word[target].get(key)
+                        if entries is None:
+                            stores_by_word[target][key] = [row]
+                        else:
+                            insort(entries, row)
+                    queue_of[row] = target
+                    occupancy[target] += 1
+                    # A repaired op arrives with a resolved, unissued
+                    # address: it is immediately a scheduling candidate.
+                    insort(pending[target], row)
                 else:
-                    producer = reg_producer[rec.src2]
-                    if producer is not None and not producer.completed \
-                            and not producer.value_bypassed:
-                        op.deps_remaining += 1
-                        producer.consumers.append(op)
-            # Value prediction: a confidently correct prediction makes
-            # the result available to consumers immediately.
-            if vp is not None and rec.value is not None:
-                if vp.observe(rec.pc, rec.value):
-                    op.value_bypassed = True
-                    self.vp_bypasses += 1
-            if rec.dst > 0:
-                reg_producer[rec.dst] = op
-            rob_append(op)
-            if op.deps_remaining == 0:
-                ready_append(op)
-            count += 1
-            ptr += 1
-            if mispredicted_branch:
-                # Everything after this branch came down the wrong path;
-                # fetch resumes once the branch executes.
-                self._fetch_blocked_by = op
-                break
-        return ptr
+                    if event_kind == _EV_TRANSLATE \
+                            and tlb_access is not None \
+                            and not tlb_access(addr[row]):
+                        # Page walk: translation (and hence region
+                        # verification) completes after the penalty.
+                        events[cycle + tlb_penalty].append(
+                            row << 2 | _EV_TRANSLATED)
+                        continue
+                    addr_known[row] = 1
+                    # TLB-time region check: train the ARPT, detect and
+                    # schedule queue repair.
+                    code = steer[row]
+                    if code == _ARPT:
+                        arpt_table[arpt_index[row]] = is_stack[row]
+                    queue = queue_of[row]
+                    if decoupled and queue != correct[row]:
+                        if code == _ARPT:
+                            arpt_mispredictions += 1
+                        events[cycle + region_penalty].append(
+                            row << 2 | _EV_REPAIR)
+                        # A mis-steered store fences its queue until
+                        # repaired; a mis-steered load just waits.
+                        if kind[row] == _STORE:
+                            wrong_stores[queue].append(row)
+                    else:
+                        insort(pending[queue], row)
 
-    # -- issue ----------------------------------------------------------
-
-    def _issue(self, cycle: int) -> None:
-        ready = self._ready
-        if not ready:
-            return
-        config = self.config
-        fu_free = dict(config.fu_counts)
-        slots = config.issue_width
-        deferred: List[InflightOp] = []
-        latency_of = self._latency
-        fu_class = FU_CLASS
-        post = self._post
-        # Batched selection: walk the (seq-sorted) ready list once
-        # instead of pop(0)/insort churn.  Ops visited but FU-starved
-        # go to `deferred`; ops past the issue-width cut are untouched.
-        # Both sublists stay seq-ordered and every deferred seq precedes
-        # every unvisited seq, so concatenation preserves sortedness.
-        taken = 0
-        for op in ready:
-            if not slots:
-                break
-            taken += 1
-            op_class = op.rec.op_class
-            fu = fu_class[op_class]
-            if fu is not None:
-                if fu_free.get(fu, 0) <= 0:
-                    deferred.append(op)
-                    continue
-                fu_free[fu] -= 1
-            slots -= 1
-            if op.is_load or op.is_store:
-                # Address generation; region verified when it resolves.
-                post(cycle + 1, 1, op)
-            else:
-                post(cycle + latency_of[op_class], 0, op)
-        self.issue_stalls += len(deferred)
-        self._ready = deferred + ready[taken:]
-
-    def _post(self, cycle: int, kind: int, op: InflightOp) -> None:
-        self._events.setdefault(cycle, []).append((kind, op))
-
-    def _complete(self, op: InflightOp) -> None:
-        op.completed = True
-        for consumer in op.consumers:
-            consumer.deps_remaining -= 1
-            if consumer.deps_remaining == 0:
-                bisect.insort(self._ready, consumer)
-        op.consumers = []
-
-    # -- region verification / repair ------------------------------------
-
-    def _verify_region(self, op: InflightOp, cycle: int) -> None:
-        """TLB-time region check: detect and schedule queue repair."""
-        config = self.config
-        rec = op.rec
-        if self._arpt is not None and rec.mode == MODE_OTHER \
-                and rec.pc not in self._hint_tags:
-            self._arpt.update(rec.pc, op.context,
-                              rec.region == REGION_STACK)
-        if not config.decoupled:
-            return
-        if config.steering == "oracle-heap":
-            correct = _LVAQ if rec.region == REGION_HEAP else _LSQ
-        else:
-            correct = _LVAQ if rec.region == REGION_STACK else _LSQ
-        if op.queue != correct:
-            op.wrong_queue = True
-            if self._arpt is not None and rec.mode == MODE_OTHER \
-                    and rec.pc not in self._hint_tags:
-                self.arpt_mispredictions += 1
-            self._post(cycle + config.region_mispredict_penalty, 2, op)
-
-    def _correct_queue(self, rec: TraceRecord) -> int:
-        if self.config.steering == "oracle-heap":
-            return _LVAQ if rec.region == REGION_HEAP else _LSQ
-        return _LVAQ if rec.region == REGION_STACK else _LSQ
-
-    def _repair(self, op: InflightOp) -> None:
-        """Move a mispredicted op to its correct queue.
-
-        A reserved repair slot lets the move succeed even when the target
-        queue is architecturally full; this avoids a (rare) deadlock the
-        real machine resolves by squashing, which the trace-driven model
-        does not replay.
-        """
-        self.repairs += 1
-        previous = op.queue
-        self._queues[previous].remove(op)
-        correct = self._correct_queue(op.rec)
-        if op.is_store:
-            self._wrong_stores[previous].remove(op)
-            word = op.rec.addr >> 3
-            old_words = self._stores_by_word[previous]
-            old_words[word].remove(op)
-            if not old_words[word]:
-                del old_words[word]
-            bisect.insort(self._stores_by_word[correct]
-                          .setdefault(word, []), op)
-        op.queue = correct
-        op.wrong_queue = False
-        bisect.insort(self._queues[correct], op)
-        # A repaired op arrives with a resolved, unissued address: it
-        # is immediately a scheduling candidate in its new queue.
-        bisect.insort(self._mem_pending[correct], op)
-
-    # -- memory scheduling ------------------------------------------------
-
-    def _schedule_memory(self, queue_id: int, cycle: int) -> bool:
-        # Port arbitration is per-access (`try_acquire(cycle, addr)`),
-        # never gated on `ports.available(cycle)`: for a banked L1 the
-        # addressless count is only an upper bound - free slots don't
-        # help a requester whose address maps to a busy bank.
-        #
-        # Returns True when the scan did (or attempted) any memory
-        # access this cycle; False means the queue provably cannot act
-        # until an event fires, which is what makes idle-cycle skipping
-        # in ``run`` sound.  Only ``_mem_pending`` - the seq-sorted
-        # issuable candidates - is walked, which visits exactly the
-        # entries the full-queue scan would have acted on, in the same
-        # order, so port grants and stall counts replay identically.
-        pending = self._mem_pending[queue_id]
-        if not pending:
-            return False
-        config = self.config
-        if queue_id == _LSQ:
-            ports = self._l1_ports
-            hierarchy = self._l1_hier
-            blocking = True    # conservative load/store ordering
-        else:
-            ports = self._lvc_ports
-            hierarchy = self._lvc_hier
-            # Fast forwarding (offsets known early) is only available
-            # when the LVAQ holds stack references.
-            blocking = not config.lvaq_fast_forwarding
-        forward_latency = config.forward_latency
-        # The ordering fence: the oldest store whose address is still
-        # unresolved (conservative queues only) or that awaits repair.
-        # Unresolved stores sit in a lazy min-heap - entries whose
-        # address has since resolved are popped on sight.
-        min_unknown_store = None
-        if blocking:
-            unknown = self._unknown_stores[queue_id]
-            while unknown and unknown[0].addr_known:
-                heapq.heappop(unknown)
-            if unknown:
-                min_unknown_store = unknown[0].seq
-        for store in self._wrong_stores[queue_id]:
-            if min_unknown_store is None or store.seq < min_unknown_store:
-                min_unknown_store = store.seq
-        acted = False
-        kept: List[InflightOp] = []
-        for op in pending:
-            if op.is_store:
-                if not op.data_ready:
-                    kept.append(op)
-                    continue
-                acted = True
-                if ports.try_acquire(cycle, op.rec.addr):
-                    op.mem_issued = True
-                    hierarchy.access(op.rec.addr, is_write=True)
-                    self._post(cycle + 1, 0, op)
-                else:
-                    self.port_stalls += 1
-                    kept.append(op)
-                continue
-            # Load.
-            if min_unknown_store is not None and op.seq > min_unknown_store:
-                kept.append(op)
-                continue
-            store = self._forwarding_store(queue_id, op,
-                                           require_addr_known=blocking)
-            if store is not None:
-                if store.data_ready:
-                    acted = True
-                    op.mem_issued = True
-                    self.store_forwards += 1
-                    self._post(cycle + forward_latency, 0, op)
-                else:
-                    kept.append(op)   # matching store without data: wait
-                continue
-            acted = True
-            if ports.try_acquire(cycle, op.rec.addr):
-                op.mem_issued = True
-                result = hierarchy.access(op.rec.addr, is_write=False)
-                self._post(cycle + result.latency, 0, op)
-            else:
-                self.port_stalls += 1
-                kept.append(op)
-        pending[:] = kept
-        return acted
-
-    def _forwarding_store(self, queue_id: int, op: InflightOp,
-                          require_addr_known: bool = True)\
-            -> Optional[InflightOp]:
-        """Youngest earlier store to the same word, if any.
-
-        In the LVAQ (``require_addr_known=False``) the offset comparison
-        happens at dispatch - stack addresses are $sp/$fp + constant - so
-        a store matches even before its address generation has run; this
-        is the paper's *fast forwarding*.  The lookup walks the per-word
-        forwarding index, not the queue, and matches the full-scan
-        semantics: wrong-queue and already-issued stores still forward.
-        """
-        stores = self._stores_by_word[queue_id].get(op.rec.addr >> 3)
-        if not stores:
-            return None
-        best = None
-        for other in stores:
-            if other.seq >= op.seq:
-                break
-            if other.addr_known or not require_addr_known:
-                best = other
-        return best
-
-    # -- commit -----------------------------------------------------------
-
-    def _commit(self) -> int:
-        count = 0
-        rob = self._rob
-        head = self._rob_head
-        width = self.config.commit_width
-        while count < width and head < len(rob):
-            op = rob[head]
-            if not op.completed:
-                break
-            if op.queue is not None:
-                queue = self._queues[op.queue]
-                # The committing op is the oldest in flight, hence at (or
-                # near, after repairs) the front of its queue.
-                queue.remove(op)
-                if op.is_store:
-                    words = self._stores_by_word[op.queue]
-                    word = op.rec.addr >> 3
-                    entries = words[word]
-                    entries.remove(op)
+        # 2. Commit (frees ROB and queue slots for this cycle's
+        #    dispatch).
+        first = head
+        stop = head + commit_width
+        if stop > ptr:
+            stop = ptr
+        while head < stop and completed[head]:
+            queue = queue_of[head]
+            if queue >= 0:
+                occupancy[queue] -= 1
+                if kind[head] == _STORE:
+                    words = stores_by_word[queue]
+                    key = addr[head] >> 3
+                    entries = words[key]
+                    entries.remove(head)
                     if not entries:
-                        del words[word]
-                op.queue = None
+                        del words[key]
             head += 1
-            count += 1
-        self._rob_head = head
-        if head > 4096:   # periodically reclaim the committed prefix
-            del rob[:head]
-            self._rob_head = 0
-        return count
+        committed_now = head - first
+
+        # 3. Memory scheduling.  Only the seq-sorted issuable candidates
+        #    are walked; each port (or bank) grant is per access.  A
+        #    queue that neither issued nor port-stalled cannot act until
+        #    an event fires, which is what makes idle skipping exact.
+        mem_active = False
+        for (queue, candidates, blocking, heap, wrong, words, access,
+             hit_latency, free_ports, banks) in schedulers:
+            if not candidates:
+                continue
+            # The ordering fence: the oldest store whose address is
+            # still unresolved (conservative queues only) or that
+            # awaits repair; ``n`` when there is none.
+            fence = n
+            if blocking:
+                while heap and addr_known[heap[0]]:
+                    heappop(heap)
+                if heap:
+                    fence = heap[0]
+            for store in wrong:
+                if store < fence:
+                    fence = store
+            busy = set() if banks else None
+            granted = 0
+            stalled = 0
+            kept = []
+            for row in candidates:
+                if kind[row] == _STORE:
+                    data = src2_producer[row]
+                    if data >= 0 and not available[data]:
+                        kept.append(row)
+                        continue
+                else:
+                    if row > fence:
+                        kept.append(row)
+                        continue
+                    # Forward from the youngest earlier store to the
+                    # same word.  Wrong-queue and already-issued stores
+                    # still forward.
+                    entries = words.get(addr[row] >> 3)
+                    if entries:
+                        source = -1
+                        for other in entries:
+                            if other >= row:
+                                break
+                            if not blocking or addr_known[other]:
+                                source = other
+                        if source >= 0:
+                            data = src2_producer[source]
+                            if data < 0 or available[data]:
+                                mem_active = True
+                                store_forwards += 1
+                                events[cycle + forward_latency].append(
+                                    row << 2)
+                            else:
+                                kept.append(row)  # wait for the data
+                            continue
+                mem_active = True
+                if busy is None:
+                    granted_now = free_ports > 0
+                    if granted_now:
+                        free_ports -= 1
+                else:
+                    bank = (addr[row] >> bank_shift) % banks
+                    granted_now = bank not in busy
+                    if granted_now:
+                        busy.add(bank)
+                if not granted_now:
+                    stalled += 1
+                    kept.append(row)
+                    continue
+                granted += 1
+                if kind[row] == _STORE:
+                    if not access(addr[row], True):
+                        l2_access(addr[row], True)
+                    events[cycle + 1].append(row << 2)
+                elif access(addr[row], False):
+                    events[cycle + hit_latency].append(row << 2)
+                elif l2_access(addr[row], False):
+                    events[cycle + hit_latency + l2_latency].append(
+                        row << 2)
+                else:
+                    events[cycle + hit_latency + l2_latency
+                           + memory_latency].append(row << 2)
+            candidates[:] = kept
+            grants[queue] += granted
+            conflicts[queue] += stalled
+
+        # 4. Issue: walk the seq-sorted ready list once.  FU-starved
+        #    rows are deferred; rows past the issue-width cut are
+        #    untouched, and every deferred row precedes them.
+        if ready:
+            free = fu_template[:]
+            slots = issue_width
+            deferred = []
+            taken = 0
+            for row in ready:
+                if not slots:
+                    break
+                taken += 1
+                unit = fu[row]
+                if free[unit] <= 0:
+                    deferred.append(row)
+                    continue
+                free[unit] -= 1
+                slots -= 1
+                if kind[row]:
+                    # Address generation; region verified when it
+                    # resolves.
+                    events[cycle + 1].append(row << 2 | _EV_TRANSLATE)
+                else:
+                    events[cycle + latency[row]].append(row << 2)
+            if deferred:
+                issue_stalls += len(deferred)
+                ready = deferred + ready[taken:]
+            else:
+                del ready[:taken]
+
+        # 5. Dispatch, in order.  A mispredicted branch blocks the front
+        #    end until it resolves plus the redirect penalty (gshare
+        #    front end only).
+        dispatched_from = ptr
+        if blocked >= 0 and completed[blocked] and cycle >= resume:
+            blocked = -1
+        if blocked < 0:
+            stop = ptr + decode_width
+            if stop > head + rob_size:
+                stop = head + rob_size
+            if stop > n:
+                stop = n
+            while ptr < stop:
+                row = ptr
+                mem_kind = kind[row]
+                if mem_kind:
+                    code = steer[row]
+                    if code == _ARPT:
+                        queue = 1 if arpt_table[arpt_index[row]] else 0
+                    else:
+                        queue = code
+                    if occupancy[queue] >= queue_cap[queue]:
+                        break   # in-order dispatch stalls on a full queue
+                    if code == _ARPT:
+                        arpt_predictions += 1
+                    queue_of[row] = queue
+                    size = occupancy[queue] + 1
+                    occupancy[queue] = size
+                    if size > peak[queue]:
+                        peak[queue] = size
+                    if mem_kind == _STORE:
+                        # Address unresolved until address generation
+                        # runs; only conservative queues keep the fence.
+                        if conservative[queue]:
+                            heappush(unresolved[queue], row)
+                        words = stores_by_word[queue]
+                        key = addr[row] >> 3
+                        entries = words.get(key)
+                        if entries is None:
+                            words[key] = [row]
+                        else:
+                            entries.append(row)
+                # Register dependences.  A store's data register is not
+                # one: its address can issue before the data is ready.
+                unresolved_sources = 0
+                producer = src1_producer[row]
+                if producer >= 0 and not available[producer]:
+                    unresolved_sources = 1
+                    woken = consumers[producer]
+                    if woken is None:
+                        consumers[producer] = [row]
+                    else:
+                        woken.append(row)
+                if mem_kind != _STORE:
+                    producer = src2_producer[row]
+                    if producer >= 0 and not available[producer]:
+                        unresolved_sources += 1
+                        woken = consumers[producer]
+                        if woken is None:
+                            consumers[producer] = [row]
+                        else:
+                            woken.append(row)
+                if unresolved_sources:
+                    waiting[row] = unresolved_sources
+                else:
+                    ready.append(row)
+                ptr += 1
+                if redirect is not None and redirect[row]:
+                    # Everything after this branch came down the wrong
+                    # path; fetch resumes once the branch executes.
+                    blocked = row
+                    break
+
+        # 6. Idle-cycle skip.  A cycle with no events, no commit, no
+        #    memory activity (issued OR port-stalled), an empty ready
+        #    list, and no dispatch progress changes nothing; every state
+        #    transition except the fetch-redirect timer is event-driven,
+        #    so jump straight to the next event (or the fetch resume
+        #    point).  Counters only move on non-idle cycles, so results
+        #    equal the cycle-by-cycle walk's.
+        if fired is None and not committed_now and not mem_active \
+                and ptr == dispatched_from and not ready and head < n:
+            target = min(events) if events else None
+            if blocked >= 0 and completed[blocked]:
+                if target is None or resume < target:
+                    target = resume
+            cycle = target if target is not None and target > cycle \
+                else cycle + 1
+        else:
+            cycle += 1
+
+    result = TimingResult(
+        config_name=config.name,
+        trace_name=trace.name,
+        instructions=n,
+        cycles=cycle,
+        l1_hit_rate=l1.stats.hit_rate,
+        lvc_hit_rate=lvc.stats.hit_rate if lvc is not None else None,
+        l2_hit_rate=l2.stats.hit_rate,
+        store_forwards=store_forwards,
+        port_stalls=conflicts[_LSQ] + conflicts[_LVAQ],
+        arpt_predictions=arpt_predictions,
+        arpt_mispredictions=arpt_mispredictions,
+        vp_bypasses=vp_bypasses,
+        lvaq_occupancy_peak=peak[_LVAQ],
+        lsq_occupancy_peak=peak[_LSQ],
+        tlb_miss_rate=tlb.miss_rate if tlb is not None else 0.0,
+        issue_stalls=issue_stalls,
+        repairs=repairs,
+    )
+    _publish_metrics(config, result, l1, l2, lvc, tlb, grants, conflicts)
+    return result
 
 
-def simulate(trace: Trace, config: MachineConfig, hints=None,
-             idle_skip: bool = True) -> TimingResult:
+def _publish_metrics(config: MachineConfig, result: TimingResult,
+                     l1: Cache, l2: Cache, lvc: Optional[Cache],
+                     tlb: Optional[DataTLB], grants: List[int],
+                     conflicts: List[int]) -> None:
+    """End-of-run metrics publication.
+
+    Costs one ``enabled`` check per simulation when collection is off;
+    the cycle loop only keeps plain integers.  Names are qualified by
+    config (and non-perfect front end) so sweeps that simulate several
+    configurations per cell never collide.
+    """
+    registry = metrics.active()
+    if not registry.enabled:
+        return
+    label = config.name
+    if config.branch_predictor != "perfect":
+        label = f"{label}@{config.branch_predictor}"
+    ns = registry.scoped("timing").scoped(label)
+    ns.counter("cycles").inc(result.cycles)
+    ns.counter("instructions").inc(result.instructions)
+    ns.counter("issue_stalls").inc(result.issue_stalls)
+    ns.counter("port_stalls").inc(result.port_stalls)
+    ns.counter("store_forwards").inc(result.store_forwards)
+    ns.counter("repairs").inc(result.repairs)
+    ns.scoped("vp").counter("bypasses").inc(result.vp_bypasses)
+    arpt_ns = ns.scoped("arpt")
+    arpt_ns.counter("predictions").inc(result.arpt_predictions)
+    arpt_ns.counter("mispredictions").inc(result.arpt_mispredictions)
+    ns.scoped("lsq").gauge("occupancy_peak").set(result.lsq_occupancy_peak)
+    ns.scoped("lvaq").gauge("occupancy_peak").set(
+        result.lvaq_occupancy_peak)
+    l1_ns = ns.scoped("l1")
+    l1.stats.publish(l1_ns)
+    ports_ns = l1_ns.scoped("ports")
+    ports_ns.counter("grants").inc(grants[_LSQ])
+    ports_ns.counter("conflicts").inc(conflicts[_LSQ])
+    l2.stats.publish(ns.scoped("l2"))
+    if lvc is not None:
+        lvc_ns = ns.scoped("lvc")
+        lvc.stats.publish(lvc_ns)
+        lvc_ports = lvc_ns.scoped("ports")
+        lvc_ports.counter("grants").inc(grants[_LVAQ])
+        lvc_ports.counter("conflicts").inc(conflicts[_LVAQ])
+    if tlb is not None:
+        tlb_ns = ns.scoped("tlb")
+        tlb_ns.counter("hits").inc(tlb.hits)
+        tlb_ns.counter("misses").inc(tlb.misses)
+
+
+def simulate(trace: Trace, config: MachineConfig,
+             hints=None) -> TimingResult:
     """Run one trace through one machine configuration.
 
     ``hints`` optionally provides Figure-6 compiler tags that steer
-    tagged instructions directly (Section 3.5.2's compiler-assisted
-    decoupling).  ``idle_skip=False`` disables event-driven idle-cycle
-    skipping and walks every cycle; results are identical either way
-    (the equivalence tests pin this), it only trades speed for a
-    literal cycle-by-cycle execution.
+    tagged instructions directly and bypass the ARPT (Section 3.5.2's
+    compiler-assisted decoupling).  The trace's columnar view is read
+    directly; no record objects are built.
     """
     with spans.span("timing:simulate", config=config.name,
                     workload=trace.name) as sp:
-        with spans.span("timing:materialize"):
-            # Record materialisation is the one columnar->records
-            # conversion left in the pipeline; forcing it here keeps
-            # the cycle loop's span honest.
-            trace.records
-        result = TimingSimulator(config, hints=hints,
-                                 idle_skip=idle_skip).run(trace)
+        result = _run(trace, config, hints)
         sp.set("cycles", result.cycles)
         sp.set("instructions", result.instructions)
         return result

@@ -3,12 +3,12 @@
 A :class:`ColumnarTrace` holds one NumPy array per
 :class:`~repro.trace.records.TraceRecord` field, plus a validity mask
 for the optional ``value`` column (``value is None`` in record form).
-Bulk analytics - the Figure 2 region breakdown, the Table 2 sliding
-windows, the Figure 4/5 predictor replay - operate on these arrays
-directly, so a warm-cache experiment never pays for millions of Python
-objects; only the cycle-level timing machine, which walks records one
-at a time through a stateful pipeline, materialises
-:class:`TraceRecord` objects (lazily, via :meth:`to_records`).
+Every consumer - the Figure 2 region breakdown, the Table 2 sliding
+windows, the Figure 4/5 predictor replay, the cycle-level timing
+machine - operates on these arrays directly, so an experiment never
+pays for millions of Python objects.  :class:`TraceRecord` objects are
+materialised only on request (lazily, via :meth:`to_records`), for
+tests, examples and ad-hoc per-record analysis.
 
 Three construction paths, in decreasing order of frequency:
 

@@ -148,17 +148,20 @@ class Trace:
 
     * ``trace.columns`` builds (once) the columnar view the vectorised
       profiler and predictor paths consume;
-    * ``trace.records`` materialises (once) record objects for the
-      consumers that truly need per-record traversal - the cycle-level
-      timing machine.
+    * ``trace.records`` materialises (once) record objects for
+      per-record traversal in tests, examples and ad-hoc analysis.
 
     ``load_trace`` and the functional simulator construct traces
-    column-first, so the profiling experiments never allocate a record
-    object at all.
+    column-first, and no experiment or timing run allocates a record
+    object at all.  ``timing_prepass`` holds the timing machine's
+    per-trace precompute (:func:`repro.timing.machine.prepass_of`),
+    shared by every configuration simulated on this object and dropped
+    with it.
     """
 
     __slots__ = ("name", "output", "exit_code", "_records", "_columns",
-                 "_load_count", "_store_count", "_memory_records")
+                 "_load_count", "_store_count", "_memory_records",
+                 "timing_prepass")
 
     def __init__(self, name: str,
                  records: Optional[List[TraceRecord]] = None,
@@ -175,6 +178,7 @@ class Trace:
         self._load_count: Optional[int] = None
         self._store_count: Optional[int] = None
         self._memory_records: Optional[List[TraceRecord]] = None
+        self.timing_prepass = None
 
     @property
     def records(self) -> List[TraceRecord]:

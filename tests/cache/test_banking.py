@@ -1,8 +1,9 @@
-"""Tests for interleaved-bank arbitration."""
+"""Tests for interleaved-bank arbitration: the oracle timing machine's
+:class:`BankManager` and the shipped machine's banked L1."""
 
 import pytest
 
-from repro.cache.hierarchy import BankManager
+from tests.oracles.hierarchy import BankManager
 
 
 class TestBankManager:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import (Cache, CacheConfig, l1_data_cache, l2_cache,
                                local_variable_cache)
+from tests.oracles.cache import Cache as OracleCache
 
 BASE = 0x10000000
 
@@ -138,3 +139,29 @@ class TestCacheProperties:
         for index, is_write in ops:
             cache.access(BASE + index * 32, is_write)
         assert cache.stats.hits + cache.stats.misses == len(ops)
+
+
+class TestMatchesOracle:
+    """The line-number/dirty-set cache against the set/tag/dirty-list
+    one it replaced: same hit/miss answer per access, same statistics,
+    same residency."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 4), (2, 4), (4, 2), (4, 8)]),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=4095),
+                              st.booleans(), st.booleans()),
+                    max_size=300))
+    def test_same_answers_and_stats(self, geometry, ops):
+        assoc, sets = geometry
+        config = CacheConfig("c", assoc * sets * 32, assoc, 32)
+        cache, oracle = Cache(config), OracleCache(config)
+        for offset, is_write, flush in ops:
+            addr = BASE + offset * 8
+            assert cache.lookup(addr) == oracle.lookup(addr)
+            assert cache.access(addr, is_write) == \
+                oracle.access(addr, is_write)
+            if flush and offset % 61 == 0:
+                cache.invalidate_all()
+                oracle.invalidate_all()
+        assert cache.stats == oracle.stats
+        assert cache.resident_lines == oracle.resident_lines

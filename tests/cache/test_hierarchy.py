@@ -1,12 +1,13 @@
-"""Tests for the cache hierarchy and port arbitration."""
+"""Tests for the cache hierarchy and port arbitration (the oracle
+timing machine's components) and for the LVC hit-rate sweep."""
 
 import pytest
 
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.hierarchy import Hierarchy, PortManager
 from repro.cache.lvc import lvc_size_sweep, stack_cache_hit_rate
 from repro.trace.records import (OC_LOAD, REGION_DATA, REGION_STACK, Trace,
                                  TraceRecord)
+from tests.oracles.hierarchy import Hierarchy, PortManager
 
 BASE = 0x10000000
 

@@ -11,6 +11,7 @@ from repro.trace.records import (MODE_GLOBAL, MODE_OTHER, MODE_STACK,
                                  OC_IALU, OC_IMUL, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_STACK, Trace,
                                  TraceRecord)
+from tests.oracles.timing_machine import simulate as oracle_simulate
 
 DATA = 0x10000000
 STACK = 0x7FFF0000
@@ -220,12 +221,14 @@ class TestDecoupling:
 
 
 class TestIdleCycleSkip:
-    """Event-driven idle-cycle skipping trades speed for nothing:
-    every TimingResult field must match the walk-every-cycle run."""
+    """Event-driven idle-cycle skipping trades speed for nothing: every
+    TimingResult field of the shipped (always-skipping) machine must
+    match the oracle machine walking every cycle."""
 
     def _assert_same(self, trace, config, hints=None):
-        fast = simulate(trace, config, hints=hints, idle_skip=True)
-        slow = simulate(trace, config, hints=hints, idle_skip=False)
+        fast = simulate(trace, config, hints=hints)
+        slow = oracle_simulate(Trace(trace.name, trace.records), config,
+                               hints=hints, idle_skip=False)
         assert fast == slow
 
     def test_long_memory_stalls(self):
@@ -310,6 +313,31 @@ class TestConfigs:
                           steering="lsq-only").validate()
         with pytest.raises(ValueError):
             MachineConfig(lvc_ports=0, steering="arpt").validate()
+
+    @pytest.mark.parametrize("fields", [
+        dict(l1_ports=0),
+        dict(vp_entries=1000),
+        dict(branch_predictor="gshare", bpred_entries=3),
+        dict(arpt_context="pc"),
+        dict(arpt_gbh_bits=-1),
+    ])
+    def test_component_limits_rejected(self, fields):
+        """Limits the cache, predictor and context models enforce are
+        checked before any cycle runs, as the oracle's constructors do."""
+        config = replace(conventional_config(2), **fields)
+        trace = Trace("t", [ialu(dst=0)])
+        with pytest.raises(ValueError):
+            oracle_simulate(trace, config)
+        with pytest.raises(ValueError):
+            simulate(trace, config)
+
+    def test_arpt_size_must_be_power_of_two(self):
+        config = replace(decoupled_config(2, 2), arpt_size=100)
+        trace = Trace("t", [ialu(dst=0)])
+        with pytest.raises(ValueError):
+            oracle_simulate(trace, config)
+        with pytest.raises(ValueError):
+            simulate(trace, config)
 
     def test_figure8_lineup(self):
         names = [c.name for c in figure8_configs()]
