@@ -457,15 +457,10 @@ class Session:
             self._traces.move_to_end(key)
             return trace
         with spans.span("api:trace", workload=name, scale=scale):
-            cache = trace_cache.active_cache()
-            if cache is None:
-                trace = suite.run(name, scale)
-            else:
-                trace = cache.fetch(name, scale, producer=suite.run)
+            trace = trace_cache.fetch_trace(name, scale)
             # Residency is this session's job; drop the suite memo's
             # duplicate reference so memory is bounded by our LRU only.
             suite.evict(name, scale)
-            trace.columns      # pay the columnar conversion at load time
         self._traces[key] = trace
         # The miss is noted *after* insertion so a listener that
         # snapshots the resident set (the serve warm manifest) sees

@@ -57,7 +57,6 @@ from repro.obs import spans
 from repro.testing import faults as fault_injection
 from repro.trace import cache as trace_cache
 from repro.trace import shards
-from repro.trace.records import Trace
 from repro.trace.shards import ShardedTrace
 from repro.workloads import suite
 
@@ -268,23 +267,6 @@ def _publish_trace_counts(counts: dict) -> None:
 
 # -- trace acquisition --------------------------------------------------
 
-def _ensure_columns(trace: Trace) -> None:
-    """Build the trace's columnar view if missing, attributing the
-    conversion to the trace-cache I/O stage.
-
-    Column-first producers (the functional simulator, ``load_trace``)
-    make this a no-op; it only pays when a records-backed trace enters
-    the engine (e.g. a test stub), and the cost then belongs with trace
-    materialisation rather than with simulation or replay.
-    """
-    if trace.has_columns:
-        return
-    started = time.perf_counter()
-    with spans.span("trace:columnar"):
-        trace.columns
-    _stages.cache_io += time.perf_counter() - started
-
-
 def _fetch(name: str, scale: float):
     """Fetch (or produce) the workload's trace handle, timed and
     cache-accounted into the current stage breakdown; publishes
@@ -295,21 +277,19 @@ def _fetch(name: str, scale: float):
     shard_rows = config.active().shard_rows
     sharded = shard_rows > 0
     with spans.span("trace:fetch", workload=name, sharded=sharded) as sp:
+        before = cache.stats.snapshot() if cache is not None else None
+        started = time.perf_counter()
+        if not sharded:
+            trace = trace_cache.fetch_trace(name, scale)
+        elif cache is None:
+            writer = shards.MemoryShardWriter(name, shard_rows)
+            trace = shards.simulate_sharded(name, scale, writer)
+        else:
+            trace = cache.fetch_sharded(name, scale, shard_rows)
         if cache is None:
-            started = time.perf_counter()
-            if sharded:
-                writer = shards.MemoryShardWriter(name, shard_rows)
-                trace = shards.simulate_sharded(name, scale, writer)
-            else:
-                trace = suite.run(name, scale)
             _stages.functional_sim += time.perf_counter() - started
             sp.set("cache", "off")
         else:
-            before = cache.stats.snapshot()
-            if sharded:
-                trace = cache.fetch_sharded(name, scale, shard_rows)
-            else:
-                trace = cache.fetch(name, scale, producer=suite.run)
             _stages.functional_sim += cache.stats.sim_seconds \
                 - before.sim_seconds
             _stages.cache_io += cache.stats.load_seconds \
@@ -323,8 +303,6 @@ def _fetch(name: str, scale: float):
                 sp.set("cache", "corrupt")
             else:
                 sp.set("cache", "miss")
-    if not sharded:
-        _ensure_columns(trace)
     return trace
 
 

@@ -45,16 +45,6 @@ def percent(value: float, digits: int = 2) -> str:
     return f"{100 * value:.{digits}f}%"
 
 
-def percent_or_na(value, digits: int = 2) -> str:
-    """Like :func:`percent`, but renders ``None`` as ``n/a``.
-
-    Used for rates whose underlying structure may be absent (e.g. the
-    LVC hit rate on a conventional machine) - rendering those as 0.00%
-    would misreport "present but never hit".
-    """
-    return "n/a" if value is None else percent(value, digits)
-
-
 def mean_and_std(stats) -> str:
     """Render a WindowStats as the paper's 'mean (std)' cell format."""
     return f"{stats.mean:.2f} ({stats.std:.2f})"

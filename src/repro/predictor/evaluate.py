@@ -81,10 +81,6 @@ class PredictionResult:
         """Fraction of references whose mode manifests the region."""
         return self.definitive / max(1, self.total)
 
-    @property
-    def table_accuracy(self) -> float:
-        return self.table_correct / max(1, self.table_predictions)
-
 
 class _ReplayPrepass:
     """Context-independent arrays shared by every scheme replay.

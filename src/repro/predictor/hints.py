@@ -28,10 +28,6 @@ class CompilerHints:
         """Tag for a PC: True/False, or None when the compiler punts."""
         return self.tags.get(pc)
 
-    @property
-    def tagged_count(self) -> int:
-        return len(self.tags)
-
 
 def hints_from_trace(trace: Trace) -> CompilerHints:
     """Build the idealised (profile-derived) compiler hints for a trace.

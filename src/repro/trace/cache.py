@@ -6,13 +6,23 @@ timing configurations amortises that cost across every driver, CLI
 invocation, and benchmark run (the SimpleScalar-era workflow the paper
 alludes to).
 
-A cache is a directory of ``save_trace`` files named
+A cache is a directory of entries in two layouts of the one
+:mod:`repro.trace.serialize` codec: a whole trace is one ``save_trace``
+file named
 
     ``<workload>__s<scale>__v<format version>.npz``
 
-so bumping :data:`repro.trace.serialize._FORMAT_VERSION` invalidates
-every archived trace at once (stale files simply stop being looked up),
-and the same directory can hold traces for many scales side by side.
+and a sharded trace (:mod:`repro.trace.shards`) is a directory
+
+    ``<workload>__s<scale>__r<shard rows>__v<format version>/``
+
+of codec files plus ``manifest.json``.  Bumping
+:data:`repro.trace.serialize.FORMAT_VERSION` invalidates every archived
+entry at once (stale entries simply stop being looked up), and the same
+directory can hold traces for many scales side by side.  Both layouts
+are fetched through one protocol (:meth:`TraceCache._fetch_entry`):
+lock, reload after a wait, produce into a temp file or directory,
+``os.replace`` it into place, enforce the size bound.
 
 The process-wide cache lives in the configured ``trace_cache``
 directory (:mod:`repro.config`; none = caching off).  Past
@@ -24,8 +34,8 @@ Integrity and concurrency guarantees:
 * **Atomic writes** - entries are written to a temp file and
   ``os.replace``-d into place, so readers never observe a partial
   archive;
-* **Verified loads** - every archive embeds a content checksum
-  (:mod:`repro.trace.serialize`); a file that is truncated,
+* **Verified loads** - every codec file embeds a content checksum
+  (:mod:`repro.trace.serialize`); an entry that is truncated,
   zero-byte, bit-rotten, or of the wrong format version is
   *quarantined* (renamed aside with a ``.quarantined`` suffix),
   counted in :attr:`CacheStats.corrupt`, and regenerated - corruption
@@ -35,11 +45,10 @@ Integrity and concurrency guarantees:
   missing the same trace produce it once, not twice; a lock-less
   platform degrades to last-writer-wins atomic replaces.
 
-Warm loads are zero-copy: ``load_trace`` hands the deserialised arrays
-straight to the trace's columnar backbone
-(:class:`repro.trace.columns.ColumnarTrace`), so a cache hit allocates
-no per-record Python objects - vectorised consumers replay the arrays
-directly and only the timing machine materialises records.
+Warm loads are zero-copy: the codec hands the deserialised arrays
+straight to the trace's :class:`repro.trace.columns.ColumnarTrace`, so
+a cache hit allocates no per-record Python objects - every consumer,
+the timing machine included, replays the arrays directly.
 """
 
 from __future__ import annotations
@@ -70,6 +79,17 @@ ENV_VAR = "REPRO_TRACE_CACHE"
 #: Suffix given to corrupt entries moved aside for post-mortems
 #: (collected on cache open, see :mod:`repro.quarantine`).
 QUARANTINE_SUFFIX = quarantine.SUFFIX
+
+
+def _remove(path: Path) -> None:
+    """Delete one entry - file or directory - if it exists."""
+    try:
+        if path.is_dir():
+            shutil.rmtree(path, ignore_errors=True)
+        elif path.exists():
+            path.unlink()
+    except OSError:
+        pass
 
 
 def _entry_size(path: Path) -> int:
@@ -122,7 +142,7 @@ class TraceCache:
         self.stats.quarantine_gc += quarantine.collect(self.directory)
 
     def key(self, name: str, scale: float) -> str:
-        return f"{name}__s{scale:g}__v{serialize._FORMAT_VERSION}"
+        return f"{name}__s{scale:g}__v{serialize.FORMAT_VERSION}"
 
     def path_for(self, name: str, scale: float) -> Path:
         return self.directory / f"{self.key(name, scale)}.npz"
@@ -156,13 +176,7 @@ class TraceCache:
             os.replace(path, path.with_name(path.name
                                             + QUARANTINE_SUFFIX))
         except OSError:
-            try:
-                if path.is_dir():
-                    shutil.rmtree(path, ignore_errors=True)
-                else:
-                    path.unlink()
-            except OSError:
-                pass
+            _remove(path)
 
     def _touch(self, path: Path) -> None:
         """Refresh an entry's mtime so LRU eviction sees the hit."""
@@ -199,72 +213,97 @@ class TraceCache:
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
-    def _write(self, name: str, path: Path, trace: Trace) -> None:
-        """Atomic entry write; caller holds the entry lock."""
+    @contextmanager
+    def _staging(self, path: Path):
+        """A fresh temp path beside ``path``, removed again on exit."""
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        _remove(tmp)
         try:
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
+            yield tmp
         finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-        fault_injection.fire_cache_store(name, path)
+            _remove(tmp)
+
+    def _publish(self, name: str, tmp: Path, path: Path) -> None:
+        """Atomically move a staged entry into place (caller holds the
+        entry lock), then run the store fault-injection point."""
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            # A stale shard-set directory raced into place; replace it.
+            _remove(path)
+            os.replace(tmp, path)
+        fault_injection.fire_cache_store(
+            name, path / shards.MANIFEST_NAME if path.is_dir() else path)
 
     def store(self, name: str, scale: float, trace: Trace) -> Path:
         """Archive a trace atomically; returns the final path."""
         started = time.perf_counter()
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name, scale)
-        with self._entry_lock(path):
-            self._write(name, path, trace)
+        with self._entry_lock(path), self._staging(path) as tmp:
+            save_trace(trace, tmp)
+            self._publish(name, tmp, path)
         self.stats.load_seconds += time.perf_counter() - started
         self.enforce_size_bound(keep=path)
         return path
+
+    def _fetch_entry(self, name: str, path: Path,
+                     load: Callable[[], Optional[object]],
+                     produce: Callable[[Path], object],
+                     save: Callable[[object, Path], None]):
+        """The one fetch protocol behind both entry layouts.
+
+        ``load()`` returns the archived entry or None; on a miss the
+        entry's writer lock is taken, and if another process wrote the
+        entry while we waited its archive is loaded instead of
+        producing a second time.  Otherwise ``produce(tmp)`` builds the
+        entry (timed as simulation), ``save(entry, tmp)`` finishes the
+        staged file or directory, and it is published atomically.
+        Returns ``(entry, produced)``.
+        """
+        entry = load()
+        if entry is not None:
+            self.stats.hits += 1
+            return entry, False
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with self._entry_lock(path) as waited:
+            entry = load() if waited else None
+            if entry is not None:
+                self.stats.hits += 1
+                return entry, False
+            with self._staging(path) as tmp:
+                started = time.perf_counter()
+                entry = produce(tmp)
+                self.stats.sim_seconds += time.perf_counter() - started
+                self.stats.misses += 1
+                started = time.perf_counter()
+                save(entry, tmp)
+                self._publish(name, tmp, path)
+                self.stats.load_seconds += time.perf_counter() - started
+        self.enforce_size_bound(keep=path)
+        return entry, True
 
     def fetch(self, name: str, scale: float,
               producer: Optional[Callable[[str, float], Trace]] = None)\
             -> Trace:
         """The trace for ``(name, scale)``: archived if present, else
-        produced (default producer: ``suite.run``) and archived.
-
-        On a miss the entry's writer lock is taken before producing;
-        if another process wrote the entry while we waited, its
-        archive is loaded instead of simulating a second time.
-        """
-        trace = self.load(name, scale)
-        if trace is not None:
-            self.stats.hits += 1
-            return trace
+        produced (default producer: ``suite.run``) and archived."""
         if producer is None:
             from repro.workloads import suite
             producer = suite.run
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(name, scale)
-        with self._entry_lock(path) as waited:
-            if waited:
-                trace = self.load(name, scale)
-                if trace is not None:
-                    self.stats.hits += 1
-                    return trace
-            started = time.perf_counter()
-            trace = producer(name, scale)
-            self.stats.sim_seconds += time.perf_counter() - started
-            self.stats.misses += 1
-            started = time.perf_counter()
-            self._write(name, path, trace)
-            self.stats.load_seconds += time.perf_counter() - started
-        self.enforce_size_bound(keep=path)
+        trace, _ = self._fetch_entry(
+            name, self.path_for(name, scale),
+            load=lambda: self.load(name, scale),
+            produce=lambda tmp: producer(name, scale),
+            save=save_trace)
         return trace
 
-    # -- sharded entries (format v3) ------------------------------------
+    # -- sharded entries --------------------------------------------------
 
     def sharded_key(self, name: str, scale: float,
                     shard_rows: int) -> str:
         return (f"{name}__s{scale:g}__r{shard_rows}"
-                f"__v{shards.SHARD_FORMAT_VERSION}")
+                f"__v{serialize.FORMAT_VERSION}")
 
     def sharded_path_for(self, name: str, scale: float,
                          shard_rows: int) -> Path:
@@ -316,48 +355,23 @@ class TraceCache:
         default :func:`repro.trace.shards.simulate_sharded` - the
         spilling functional simulation, bounded RSS).
         """
-        trace = self.load_sharded(name, scale, shard_rows)
-        if trace is not None:
-            self.stats.hits += 1
-            return trace
         if producer is None:
             producer = shards.simulate_sharded
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.sharded_path_for(name, scale, shard_rows)
-        with self._entry_lock(path) as waited:
-            if waited:
-                trace = self.load_sharded(name, scale, shard_rows)
-                if trace is not None:
-                    self.stats.hits += 1
-                    return trace
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            if tmp.exists():
-                shutil.rmtree(tmp, ignore_errors=True)
-            try:
-                started = time.perf_counter()
-                writer = shards.ShardWriter(tmp, name, shard_rows)
-                producer(name, scale, writer)
-                self.stats.sim_seconds += time.perf_counter() - started
-                self.stats.misses += 1
-                started = time.perf_counter()
-                try:
-                    os.replace(tmp, path)
-                except OSError:
-                    # A stale entry raced into place; replace it.
-                    shutil.rmtree(path, ignore_errors=True)
-                    os.replace(tmp, path)
-                self.stats.load_seconds += time.perf_counter() - started
-            finally:
-                if tmp.exists():
-                    shutil.rmtree(tmp, ignore_errors=True)
-            fault_injection.fire_cache_store(
-                name, path / shards.MANIFEST_NAME)
-        self.enforce_size_bound(keep=path)
-        trace = self._open_sharded(path, name, shard_rows)
-        if trace is None:
-            raise RuntimeError(
-                f"sharded trace entry {path} unreadable immediately "
-                f"after production")
+        trace, produced = self._fetch_entry(
+            name, path,
+            load=lambda: self.load_sharded(name, scale, shard_rows),
+            produce=lambda tmp: producer(
+                name, scale, shards.ShardWriter(tmp, name, shard_rows)),
+            save=lambda entry, tmp: None)
+        if produced:
+            # The producer's view points at the staging directory;
+            # reopen the published entry.
+            trace = self._open_sharded(path, name, shard_rows)
+            if trace is None:
+                raise RuntimeError(
+                    f"sharded trace entry {path} unreadable immediately "
+                    f"after production")
         return trace
 
     # -- size bound (LRU eviction) --------------------------------------
@@ -395,13 +409,7 @@ class TraceCache:
             os.replace(path, victim)
         except OSError:
             return False
-        try:
-            if victim.is_dir():
-                shutil.rmtree(victim, ignore_errors=True)
-            else:
-                victim.unlink()
-        except OSError:
-            pass
+        _remove(victim)
         self.stats.evictions += 1
         return True
 
@@ -457,3 +465,13 @@ def active_cache() -> Optional[TraceCache]:
     if _active is None or _active.directory != directory:
         _active = TraceCache(directory)
     return _active
+
+
+def fetch_trace(name: str, scale: float) -> Trace:
+    """The in-RAM trace for ``(name, scale)``: through the active cache
+    when one is configured, else simulated directly (``suite.run``)."""
+    cache = active_cache()
+    if cache is None:
+        from repro.workloads import suite
+        return suite.run(name, scale)
+    return cache.fetch(name, scale)

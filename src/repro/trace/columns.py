@@ -10,15 +10,15 @@ pays for millions of Python objects.  :class:`TraceRecord` objects are
 materialised only on request (lazily, via :meth:`to_records`), for
 tests, examples and ad-hoc per-record analysis.
 
-Three construction paths, in decreasing order of frequency:
+Two construction paths:
 
-* **zero-copy from disk** - :func:`repro.trace.serialize.load_trace`
-  hands the arrays it deserialised straight to ``ColumnarTrace``;
-* **from the simulator's row buffer** - the functional simulator
-  appends one plain tuple per retired instruction and
-  :meth:`from_rows` columnises the buffer once at end of run;
-* **from record objects** - :meth:`from_records` converts a
-  materialised record list (synthetic test traces, legacy producers).
+* **zero-copy from disk** - :func:`repro.trace.serialize.read`, the
+  one codec behind whole-trace files and shards, hands the arrays it
+  deserialised straight to ``ColumnarTrace``;
+* **from row tuples** - the functional simulator appends one plain
+  tuple per retired instruction and :meth:`from_rows` columnises the
+  buffer once per run (or per spilled shard); :meth:`from_records`
+  turns a record list (synthetic test traces) into such rows first.
 
 Conversions publish ``trace.columnar.{builds,materializations,
 records}`` counters into the active metrics registry so their overhead
@@ -28,6 +28,7 @@ is observable (no-ops when collection is disabled).
 from __future__ import annotations
 
 import gc
+import operator
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,9 @@ COLUMN_DTYPES: Tuple[Tuple[str, type], ...] = (
 )
 
 _FIELDS = tuple(name for name, _ in COLUMN_DTYPES)
+
+#: A record's fields as one simulator row tuple (``value`` last).
+_ROW_OF = operator.attrgetter(*_FIELDS, "value")
 
 
 def _publish_conversion(kind: str, count: int) -> None:
@@ -99,18 +103,8 @@ class ColumnarTrace:
     @classmethod
     def from_records(cls, records: Sequence[TraceRecord])\
             -> "ColumnarTrace":
-        """Columnise a materialised record list (one C pass per field)."""
-        n = len(records)
-        columns = [np.fromiter((getattr(r, name) for r in records),
-                               dtype=dtype, count=n)
-                   for name, dtype in COLUMN_DTYPES]
-        value = np.fromiter(
-            (0 if r.value is None else r.value for r in records),
-            dtype=np.int64, count=n)
-        valid = np.fromiter((r.value is not None for r in records),
-                            dtype=np.bool_, count=n)
-        _publish_conversion("builds", n)
-        return cls(*columns, value, valid)
+        """Columnise a materialised record list (as simulator rows)."""
+        return cls.from_rows(list(map(_ROW_OF, records)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple],

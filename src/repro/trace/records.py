@@ -141,76 +141,48 @@ class TraceRecord:
 class Trace:
     """A complete dynamic trace of one program execution.
 
-    A trace is backed by *either* a list of :class:`TraceRecord`
-    objects, a :class:`~repro.trace.columns.ColumnarTrace`
-    structure-of-arrays view, or both.  Each representation is derived
-    lazily from the other and cached:
-
-    * ``trace.columns`` builds (once) the columnar view the vectorised
-      profiler and predictor paths consume;
-    * ``trace.records`` materialises (once) record objects for
-      per-record traversal in tests, examples and ad-hoc analysis.
-
-    ``load_trace`` and the functional simulator construct traces
-    column-first, and no experiment or timing run allocates a record
-    object at all.  ``timing_prepass`` holds the timing machine's
-    per-trace precompute (:func:`repro.timing.machine.prepass_of`),
-    shared by every configuration simulated on this object and dropped
-    with it.
+    The trace *is* its :class:`~repro.trace.columns.ColumnarTrace`
+    (``trace.columns``), the structure-of-arrays view every profiler,
+    predictor and timing path consumes.  A ``records=`` argument is
+    columnised once, here, and kept as the record view; otherwise
+    ``trace.records`` is materialised from the columns on first access
+    and cached, for per-record traversal in tests, examples and ad-hoc
+    analysis.
+    ``timing_prepass`` holds the timing machine's per-trace precompute
+    (:func:`repro.timing.machine.prepass_of`), shared by every
+    configuration simulated on this object and dropped with it.
     """
 
-    __slots__ = ("name", "output", "exit_code", "_records", "_columns",
-                 "_load_count", "_store_count", "_memory_records",
-                 "timing_prepass")
+    __slots__ = ("name", "output", "exit_code", "columns", "_records",
+                 "_load_count", "_store_count", "timing_prepass")
 
     def __init__(self, name: str,
                  records: Optional[List[TraceRecord]] = None,
                  output: Optional[List[object]] = None,
                  exit_code: int = 0,
                  columns: Optional["ColumnarTrace"] = None) -> None:
+        if columns is None:
+            from repro.trace.columns import ColumnarTrace
+            columns = ColumnarTrace.from_records(records or [])
         self.name = name
-        if records is None and columns is None:
-            records = []
-        self._records = records
-        self._columns = columns
+        self.columns = columns
         self.output = output if output is not None else []
         self.exit_code = exit_code
+        self._records = records
         self._load_count: Optional[int] = None
         self._store_count: Optional[int] = None
-        self._memory_records: Optional[List[TraceRecord]] = None
         self.timing_prepass = None
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The record-object view (materialised from columns on first
-        access, then cached)."""
+        """The record-object view (materialised from the columns on
+        first access, then cached)."""
         if self._records is None:
-            self._records = self._columns.to_records()
+            self._records = self.columns.to_records()
         return self._records
 
-    @property
-    def columns(self) -> "ColumnarTrace":
-        """The structure-of-arrays view (built from the record list on
-        first access, then cached)."""
-        if self._columns is None:
-            from repro.trace.columns import ColumnarTrace
-            self._columns = ColumnarTrace.from_records(self._records)
-        return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether the columnar view already exists (no conversion)."""
-        return self._columns is not None
-
-    @property
-    def has_records(self) -> bool:
-        """Whether record objects are already materialised."""
-        return self._records is not None
-
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._columns)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -222,9 +194,7 @@ class Trace:
         return self
 
     def __repr__(self) -> str:
-        backing = "records" if self._records is not None else "columns"
-        return (f"Trace(name={self.name!r}, n={len(self)}, "
-                f"backing={backing})")
+        return f"Trace(name={self.name!r}, n={len(self)})"
 
     @property
     def instruction_count(self) -> int:
@@ -245,13 +215,6 @@ class Trace:
             self._store_count = int(np.count_nonzero(
                 self.columns.op_class == OC_STORE))
         return self._store_count
-
-    @property
-    def memory_records(self) -> List[TraceRecord]:
-        if self._memory_records is None:
-            self._memory_records = [r for r in self.records
-                                    if r.op_class in (OC_LOAD, OC_STORE)]
-        return self._memory_records
 
     def load_fraction(self) -> float:
         return self.load_count / max(1, len(self))

@@ -1,26 +1,31 @@
-"""Trace persistence: save/load dynamic traces as compressed ``.npz``.
+"""Trace persistence: the one column codec behind every trace file.
 
 Functional simulation is the slowest stage of many experiments; saving
 a trace once and replaying it through predictors, caches, and timing
 configurations amortises that cost (this mirrors how trace-driven
-studies of the paper's era archived SimpleScalar traces).  The on-disk
-cache in :mod:`repro.trace.cache` builds on these primitives.
+studies of the paper's era archived SimpleScalar traces).
 
-Records are stored column-wise in int64 arrays - about 90 bytes/record
-in memory becomes ~10 bytes/record on disk after compression.  The
-on-disk layout is exactly the in-memory
-:class:`~repro.trace.columns.ColumnarTrace` schema, so ``save_trace``
-writes the columnar view directly and ``load_trace`` rebuilds a trace
-*zero-copy* from the deserialised arrays - no per-record object is
-constructed on a warm cache load; consumers that need record objects
-materialise them lazily through ``Trace.records``.
+Every trace file - a whole trace saved by :func:`save_trace`, or one
+shard of a :mod:`repro.trace.shards` set - is one compressed ``.npz``
+written by :func:`write` and read by :func:`read`.  The file holds the
+:class:`~repro.trace.columns.ColumnarTrace` schema column-wise (about
+90 bytes/record in memory becomes ~10 bytes/record on disk) plus an
+embedded JSON ``meta`` object: ``{name, output, exit_code}`` for a
+whole trace, ``{index}`` for a shard.  Reads are zero-copy - the
+deserialised arrays become the chunk's columns as-is, and record
+objects are only materialised if a consumer asks for
+``trace.records``.
 
-Every file embeds a CRC-32 over the column bytes and trace identity;
-``load_trace`` recomputes and compares it, raising
-:class:`TraceIntegrityError` on any mismatch, so silent on-disk
-corruption (bit rot, partial writes that still unzip) can never leak
-wrong data into an experiment - the trace cache quarantines the file
-and regenerates instead.
+The codec owns, in one place:
+
+* the format version (cache keys embed it, so a bump simply makes
+  stale entries regenerate);
+* the ``value`` column's None sentinel;
+* a CRC-32 over the embedded meta and the column bytes, recomputed on
+  read - silent on-disk corruption (bit rot, partial writes that
+  still unzip) raises :class:`TraceIntegrityError` instead of leaking
+  wrong data into an experiment, and the trace cache quarantines the
+  entry and regenerates.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -37,108 +42,94 @@ from repro.trace.records import Trace
 
 #: Sentinel for "no result value" (record.value is None).  Result
 #: values equal to the sentinel itself cannot round-trip and are
-#: rejected at save time rather than silently loaded back as None.
+#: rejected at write time rather than silently read back as None.
 _NO_VALUE = np.int64(-(2 ** 62))
 
-#: v2 added the embedded content checksum; v1 files are rejected (the
-#: cache never looks them up - its keys embed the version - so in
-#: practice a bump just makes stale archives regenerate).
-_FORMAT_VERSION = 2
+#: Embedded in every file (and in the trace cache's keys); a file of
+#: any other version is rejected.
+FORMAT_VERSION = 4
 
 
 class TraceIntegrityError(ValueError):
     """A trace file failed its version or checksum validation."""
 
-#: (column, dtype) for every TraceRecord field except ``value``, which
-#: needs the None-sentinel treatment.  Shared with the in-memory
-#: columnar schema so the formats cannot drift apart.
-_COLUMNS = COLUMN_DTYPES
 
-
-def _normalised(path: Union[str, Path]) -> Path:
-    """The exact file both :func:`save_trace` and :func:`load_trace` use.
-
-    ``np.savez_compressed`` silently appends ``.npz`` to *names* lacking
-    the suffix, which used to make ``load_trace(path)`` fail on the very
-    path the caller passed to ``save_trace``.  Both functions now agree
-    on the caller's path verbatim (save opens the file itself, so numpy
-    never rewrites the name).
-    """
-    return Path(path)
-
-
-def _checksum(payload: dict, name: str, output, exit_code: int) -> int:
-    """CRC-32 over the serialised column bytes and trace identity.
-
-    Computed on the exact arrays written to (or read from) disk - the
-    ``value`` column already carries the None sentinel - so save and
-    load agree bit-for-bit.
-    """
-    crc = zlib.crc32(json.dumps(
-        [name, output, exit_code], sort_keys=True).encode("utf-8"))
-    for column, _ in _COLUMNS:
-        crc = zlib.crc32(np.ascontiguousarray(payload[column]).tobytes(),
+def _crc32(meta: dict, payload: dict) -> int:
+    """CRC-32 over the meta (sans checksum) and the on-disk columns."""
+    crc = zlib.crc32(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    for name in payload:
+        crc = zlib.crc32(np.ascontiguousarray(payload[name]).tobytes(),
                          crc)
-    crc = zlib.crc32(np.ascontiguousarray(payload["value"]).tobytes(),
-                     crc)
     return crc & 0xFFFFFFFF
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace to exactly ``path`` (``.npz`` layout, compressed).
+def write(path: Union[str, Path], chunk: ColumnarTrace,
+          meta: dict) -> int:
+    """Write ``chunk`` and ``meta`` to exactly ``path``; returns the
+    embedded checksum.
 
-    The file is written at the path given - with or without an ``.npz``
-    suffix - so ``load_trace`` round-trips on the same path.  Saving
-    goes through the trace's columnar view (built and cached on the
-    trace if it does not exist yet), so a trace that was loaded or
-    simulated column-first serialises without touching record objects.
+    The file is opened here, so numpy never appends ``.npz`` to a
+    suffixless name and :func:`read` round-trips on the same path.
     """
-    columns = trace.columns
-    if bool(np.any((columns.value == _NO_VALUE) & columns.value_valid)):
+    if bool(np.any((chunk.value == _NO_VALUE) & chunk.value_valid)):
         raise ValueError(
             f"trace contains a result value equal to the None sentinel "
             f"({int(_NO_VALUE)}); it would not survive a round-trip")
-    payload = {name: getattr(columns, name) for name, _ in _COLUMNS}
-    payload["value"] = np.where(columns.value_valid, columns.value,
+    payload = {name: getattr(chunk, name) for name, _ in COLUMN_DTYPES}
+    payload["value"] = np.where(chunk.value_valid, chunk.value,
                                 _NO_VALUE)
-    meta = json.dumps({
-        "version": _FORMAT_VERSION,
-        "name": trace.name,
-        "output": trace.output,
-        "exit_code": trace.exit_code,
-        "checksum": _checksum(payload, trace.name, trace.output,
-                              trace.exit_code),
-    })
-    with open(_normalised(path), "wb") as fh:
+    meta = {**meta, "version": FORMAT_VERSION}
+    meta["checksum"] = _crc32(meta, payload)
+    with open(path, "wb") as fh:
         np.savez_compressed(fh, meta=np.frombuffer(
-            meta.encode("utf-8"), dtype=np.uint8), **payload)
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8), **payload)
+    return meta["checksum"]
 
 
-def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`save_trace`.
+def read(path: Union[str, Path]) -> Tuple[ColumnarTrace, dict]:
+    """Read and verify a file written by :func:`write`.
 
-    The deserialised arrays become the trace's columnar backbone
-    as-is; record objects are only materialised if a consumer asks
-    for ``trace.records``.
+    Returns the chunk and the embedded meta (with its ``checksum``).
+    A missing file raises :class:`FileNotFoundError`; any other
+    failure to decode or verify raises :class:`TraceIntegrityError`.
     """
-    with np.load(str(_normalised(path))) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("version") != _FORMAT_VERSION:
-            raise TraceIntegrityError(
-                f"unsupported trace format version {meta.get('version')}")
-        arrays = [data[name] for name, _ in _COLUMNS]
-        raw_values = data["value"]
-    payload = {name: array for (name, _), array in zip(_COLUMNS, arrays)}
-    payload["value"] = raw_values
-    expected = meta.get("checksum")
-    actual = _checksum(payload, meta["name"], meta["output"],
-                       meta["exit_code"])
+    try:
+        with np.load(str(path)) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta.get("version") != FORMAT_VERSION:
+                raise TraceIntegrityError(
+                    f"unsupported trace format version "
+                    f"{meta.get('version')} in {path}")
+            payload = {name: data[name] for name, _ in COLUMN_DTYPES}
+            payload["value"] = data["value"]
+    except (FileNotFoundError, TraceIntegrityError):
+        raise
+    except Exception as exc:
+        raise TraceIntegrityError(
+            f"unreadable trace file {path}: {exc}") from exc
+    expected = meta.pop("checksum", None)
+    actual = _crc32(meta, payload)
     if expected != actual:
         raise TraceIntegrityError(
             f"trace checksum mismatch for {path}: stored "
             f"{expected!r}, computed {actual}")
+    meta["checksum"] = actual
+    raw_values = payload.pop("value")
     valid = raw_values != _NO_VALUE
-    columns = ColumnarTrace(*arrays,
-                            np.where(valid, raw_values, 0), valid)
+    chunk = ColumnarTrace(*payload.values(),
+                          np.where(valid, raw_values, 0), valid)
+    return chunk, meta
+
+
+def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+    """Write a whole trace to exactly ``path`` (one codec file)."""
+    write(path, trace.columns, {"name": trace.name,
+                                "output": trace.output,
+                                "exit_code": trace.exit_code})
+
+
+def load_trace(path: Union[str, Path]) -> Trace:
+    """Read a trace previously written by :func:`save_trace`."""
+    columns, meta = read(path)
     return Trace(name=meta["name"], columns=columns,
                  output=meta["output"], exit_code=meta["exit_code"])

@@ -1,11 +1,11 @@
 """Out-of-core sharded traces: bounded column chunks + a manifest.
 
 A :class:`ShardedTrace` stores one dynamic trace as a sequence of
-fixed-size column shards - each shard a compressed ``.npz`` holding the
-same structure-of-arrays layout as :mod:`repro.trace.serialize` (format
-v3) - plus a ``manifest.json`` carrying per-shard row counts, CRC-32
-checksums, and op-class/region tallies.  The shard is the native unit
-of storage, caching, and parallelism:
+fixed-size column shards - each shard one file of the
+:mod:`repro.trace.serialize` codec, the same codec a whole-trace file
+uses - plus a ``manifest.json`` carrying per-shard row counts, the
+codec's CRC-32 checksums, and op-class/region tallies.  The shard is
+the native unit of storage, caching, and parallelism:
 
 * the functional simulator *spills* its row buffer into a
   :class:`ShardWriter` every ``shard_rows`` retired instructions, so
@@ -27,8 +27,8 @@ Aggregate tallies (instructions, loads, stores, branches, syscalls,
 per-region counts) live in the manifest, so Table 1 style summaries
 and the engine's ``cpu.*`` trace metrics need no shard I/O at all.
 
-Corruption handling mirrors the monolithic cache: a shard whose bytes
-do not match the manifest CRC raises
+Corruption handling mirrors the monolithic cache: a shard that fails
+the codec's checks, or does not match its manifest entry, raises
 :class:`~repro.trace.serialize.TraceIntegrityError` after invoking the
 owner's ``on_corrupt`` hook (the trace cache quarantines the whole
 entry atomically there), and the engine's per-cell retry regenerates.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, List, Optional,
                     Sequence, Union)
@@ -46,16 +45,13 @@ from typing import (Callable, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from repro import config
+from repro.trace import serialize
 from repro.trace.columns import (COLUMN_DTYPES, ColumnarTrace,
                                  _publish_conversion)
 from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
                                  OC_SYSCALL, REGION_DATA, REGION_HEAP,
                                  REGION_STACK, Trace)
-from repro.trace.serialize import _NO_VALUE, TraceIntegrityError
-
-#: Sharded entries are format v3 (v2 is the monolithic single-file
-#: layout).  Cache keys embed the version, so a bump regenerates.
-SHARD_FORMAT_VERSION = 3
+from repro.trace.serialize import TraceIntegrityError
 
 #: Manifest file name inside a shard-set directory.
 MANIFEST_NAME = "manifest.json"
@@ -91,31 +87,7 @@ class ShardStats:
 STATS = ShardStats()
 
 
-# -- shard payloads ------------------------------------------------------
-
-def _chunk_payload(chunk: ColumnarTrace) -> dict:
-    """The exact arrays written to disk (``value`` carries the None
-    sentinel, as in the monolithic v2 layout)."""
-    if bool(np.any((chunk.value == _NO_VALUE) & chunk.value_valid)):
-        raise ValueError(
-            f"trace contains a result value equal to the None sentinel "
-            f"({int(_NO_VALUE)}); it would not survive a round-trip")
-    payload = {name: getattr(chunk, name) for name, _ in COLUMN_DTYPES}
-    payload["value"] = np.where(chunk.value_valid, chunk.value, _NO_VALUE)
-    return payload
-
-
-def _shard_checksum(payload: dict, rows: int) -> int:
-    """CRC-32 over the shard's serialised column bytes and shape."""
-    crc = zlib.crc32(json.dumps(
-        [SHARD_FORMAT_VERSION, rows]).encode("utf-8"))
-    for column, _ in COLUMN_DTYPES:
-        crc = zlib.crc32(np.ascontiguousarray(payload[column]).tobytes(),
-                         crc)
-    crc = zlib.crc32(np.ascontiguousarray(payload["value"]).tobytes(),
-                     crc)
-    return crc & 0xFFFFFFFF
-
+# -- shard bookkeeping ----------------------------------------------------
 
 def _shard_counts(chunk: ColumnarTrace) -> dict:
     """Aggregate tallies for one shard (manifest bookkeeping)."""
@@ -136,35 +108,17 @@ def _shard_counts(chunk: ColumnarTrace) -> dict:
 
 
 def _load_shard(path: Path, meta: dict) -> ColumnarTrace:
-    """Read one shard file and verify it against its manifest entry."""
+    """Read one shard file and check it against its manifest entry."""
     try:
-        with np.load(str(path)) as data:
-            embedded = json.loads(bytes(data["meta"]).decode("utf-8"))
-            arrays = [data[name] for name, _ in COLUMN_DTYPES]
-            raw_values = data["value"]
-    except TraceIntegrityError:
-        raise
-    except Exception as exc:
+        chunk, embedded = serialize.read(path)
+    except FileNotFoundError as exc:
+        raise TraceIntegrityError(f"trace shard missing: {path}") from exc
+    if embedded["checksum"] != meta["crc"] or len(chunk) != meta["rows"]:
         raise TraceIntegrityError(
-            f"unreadable trace shard {path}: {exc}") from exc
-    if embedded.get("version") != SHARD_FORMAT_VERSION:
-        raise TraceIntegrityError(
-            f"unsupported shard format version "
-            f"{embedded.get('version')} in {path}")
-    payload = {name: array
-               for (name, _), array in zip(COLUMN_DTYPES, arrays)}
-    payload["value"] = raw_values
-    if len(raw_values) != meta["rows"]:
-        raise TraceIntegrityError(
-            f"shard {path} holds {len(raw_values)} rows, manifest "
-            f"says {meta['rows']}")
-    actual = _shard_checksum(payload, meta["rows"])
-    if actual != meta["crc"]:
-        raise TraceIntegrityError(
-            f"shard checksum mismatch for {path}: manifest "
-            f"{meta['crc']!r}, computed {actual}")
-    valid = raw_values != _NO_VALUE
-    return ColumnarTrace(*arrays, np.where(valid, raw_values, 0), valid)
+            f"shard {path} ({len(chunk)} rows, crc "
+            f"{embedded['checksum']}) does not match its manifest entry "
+            f"({meta['rows']} rows, crc {meta['crc']!r})")
+    return chunk
 
 
 # -- writers -------------------------------------------------------------
@@ -213,7 +167,7 @@ class _WriterBase:
         if self._total_rows:
             _publish_conversion("builds", self._total_rows)
         return {
-            "version": SHARD_FORMAT_VERSION,
+            "version": serialize.FORMAT_VERSION,
             "name": self.name,
             "shard_rows": self.shard_rows,
             "total_rows": self._total_rows,
@@ -235,14 +189,9 @@ class ShardWriter(_WriterBase):
 
     def _store(self, index: int, chunk: ColumnarTrace,
                meta: dict) -> None:
-        payload = _chunk_payload(chunk)
         meta["file"] = f"shard-{index:05d}.npz"
-        meta["crc"] = _shard_checksum(payload, len(chunk))
-        embedded = json.dumps({"version": SHARD_FORMAT_VERSION,
-                               "index": index, "rows": len(chunk)})
-        with open(self.directory / meta["file"], "wb") as fh:
-            np.savez_compressed(fh, meta=np.frombuffer(
-                embedded.encode("utf-8"), dtype=np.uint8), **payload)
+        meta["crc"] = serialize.write(self.directory / meta["file"],
+                                      chunk, {"index": index})
 
     def finish(self, output, exit_code: int) -> "ShardedTrace":
         """Write the manifest atomically and return the finished view."""
@@ -295,7 +244,7 @@ class ShardedTrace:
                  resident_chunks: Optional[List[ColumnarTrace]] = None,
                  on_corrupt: Optional[Callable[[Exception], None]] = None)\
             -> None:
-        if manifest.get("version") != SHARD_FORMAT_VERSION:
+        if manifest.get("version") != serialize.FORMAT_VERSION:
             raise TraceIntegrityError(
                 f"unsupported shard manifest version "
                 f"{manifest.get('version')}")

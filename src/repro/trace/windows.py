@@ -48,10 +48,6 @@ class RegionWindowStats:
     heap: WindowStats
     stack: WindowStats
 
-    def stats_for(self, region_code: int) -> WindowStats:
-        return {REGION_DATA: self.data, REGION_HEAP: self.heap,
-                REGION_STACK: self.stack}[region_code]
-
 
 class SlidingWindowProfiler:
     """O(N) streaming computation of the per-region window statistics."""
@@ -204,19 +200,18 @@ def combine_window_partials(partials, window: int)\
 
 
 def stats_from_moments(name: str, window: int, samples: int,
-                       sums: Dict[int, int], sumsq: Dict[int, int],
-                       publish: bool = True) -> RegionWindowStats:
+                       sums: Dict[int, int], sumsq: Dict[int, int])\
+        -> RegionWindowStats:
     """Finish Table-2 statistics (and metric publication) from exact
     moments - shared by :func:`window_stats` and the engine fan-out so
     both publish and round identically."""
     from repro import metrics
-    if publish:
-        registry = metrics.active()
-        if registry.enabled:
-            ns = registry.scoped("trace").scoped(f"window{window}")
-            for code, region in REGION_NAMES.items():
-                ns.timeseries(region, interval=window).observe_moments(
-                    samples, sums[code], sumsq[code])
+    registry = metrics.active()
+    if registry.enabled:
+        ns = registry.scoped("trace").scoped(f"window{window}")
+        for code, region in REGION_NAMES.items():
+            ns.timeseries(region, interval=window).observe_moments(
+                samples, sums[code], sumsq[code])
 
     def stats(code: int) -> WindowStats:
         if samples == 0:

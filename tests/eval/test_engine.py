@@ -166,40 +166,6 @@ class TestStageTimes:
 class TestTraceFor:
     """Trace acquisition through the one accessor, ``open_trace``."""
 
-    def test_columnar_conversion_attributed_to_cache_io(self, monkeypatch):
-        """Stage attribution: converting a records-backed trace to its
-        columnar view inside ``open_trace`` is charged to the
-        trace-cache I/O stage, not to functional simulation (or, later,
-        replay)."""
-        import time as time_module
-
-        from repro.trace.columns import ColumnarTrace
-        from repro.trace.records import OC_IALU, Trace, TraceRecord
-
-        records = [TraceRecord(0x400000, OC_IALU, dst=3, value=1)] * 4
-
-        def stub_run(name, scale):
-            return Trace(name, list(records))
-        stub_run.cache_clear = lambda: None  # clear_caches() compatibility
-        stub_run.evict = lambda name, scale: False   # open_trace's exit
-        monkeypatch.setattr(suite, "run", stub_run)
-        original = ColumnarTrace.from_records.__func__
-        delay = 0.05
-
-        def slow_from_records(cls, recs):
-            time_module.sleep(delay)
-            return original(cls, recs)
-
-        monkeypatch.setattr(ColumnarTrace, "from_records",
-                            classmethod(slow_from_records))
-        with engine.open_trace("stub", 1.0) as trace:
-            pass
-        times = engine.stage_times()
-        assert trace.has_columns
-        assert times.cache_io >= delay
-        # The conversion must not inflate the simulation stage.
-        assert times.functional_sim < delay
-
     def test_column_backed_trace_costs_no_cache_io(self, monkeypatch):
         from repro.trace.columns import ColumnarTrace
         from repro.trace.records import Trace

@@ -120,7 +120,10 @@ class TestShardedTraceHandle:
                 assert isinstance(handle, shards.ShardedTrace)
                 trace = handle.materialize()
             assert not isinstance(trace, shards.ShardedTrace)
-            assert trace.has_columns and len(trace) == len(handle)
+            assert len(trace.columns) == len(handle)
+            # Records stay a derived, cached view of those columns.
+            assert trace.records is trace.records
+            assert len(trace.records) == len(handle)
 
     def test_exit_evicts_only_its_own_entry(self):
         with config.override(shard_rows=0):

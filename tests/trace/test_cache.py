@@ -38,7 +38,7 @@ class TestKeyScheme:
         key = cache.key("db_vortex", 0.25)
         assert "db_vortex" in key
         assert "s0.25" in key
-        assert f"v{serialize._FORMAT_VERSION}" in key
+        assert f"v{serialize.FORMAT_VERSION}" in key
 
     def test_file_as_cache_directory_rejected(self, tmp_path):
         path = tmp_path / "notadir"
@@ -54,8 +54,8 @@ class TestKeyScheme:
         cache = TraceCache(tmp_path)
         cache.store("w", 1.0, _trace())
         assert cache.load("w", 1.0) is not None
-        monkeypatch.setattr(serialize, "_FORMAT_VERSION",
-                            serialize._FORMAT_VERSION + 1)
+        monkeypatch.setattr(serialize, "FORMAT_VERSION",
+                            serialize.FORMAT_VERSION + 1)
         assert cache.load("w", 1.0) is None
 
 
@@ -146,7 +146,7 @@ class TestFailureModes:
         cache = TraceCache(tmp_path)
         path = cache.path_for("w", 1.0)
         path.parent.mkdir(parents=True, exist_ok=True)
-        meta = json.dumps({"version": serialize._FORMAT_VERSION + 1,
+        meta = json.dumps({"version": serialize.FORMAT_VERSION + 1,
                            "name": "w", "output": [], "exit_code": 0})
         np.savez_compressed(
             str(path),

@@ -111,37 +111,41 @@ class TestRoundTrip:
 
 
 class TestLazyTrace:
-    def test_column_backed_trace_defers_record_objects(self, real_trace):
+    def test_column_backed_trace_defers_record_objects(self, real_trace,
+                                                        monkeypatch):
         trace = Trace("lazy", columns=real_trace.columns)
-        assert trace.has_columns and not trace.has_records
+        materialized = []
+        original = ColumnarTrace.to_records
+
+        def counting_to_records(columns):
+            materialized.append(columns)
+            return original(columns)
+
+        monkeypatch.setattr(ColumnarTrace, "to_records",
+                            counting_to_records)
         assert len(trace) == len(real_trace)
         # Counting loads/stores must not materialise records.
         assert trace.load_count == real_trace.load_count
         assert trace.store_count == real_trace.store_count
-        assert not trace.has_records
+        assert not materialized
+        # Records are a derived view: built once, on first access.
         assert len(trace.records) == len(real_trace)
-        assert trace.has_records
+        assert trace.records is trace.records
+        assert materialized == [trace.columns]
 
-    def test_record_backed_trace_defers_columns(self):
+    def test_records_argument_is_converted_once(self):
         records = [_record(op_class=OC_LOAD, region=2, mode=1)]
         trace = Trace("t", records)
-        assert trace.has_records and not trace.has_columns
+        assert isinstance(trace.columns, ColumnarTrace)
+        _assert_same_records(records, trace.columns.to_records())
         assert trace.load_count == 1
-        assert trace.has_columns  # counts are backed by the columns
+        # The input list is the cached record view: no second copy.
+        assert trace.records is records
 
     def test_conversions_cached(self, real_trace):
         trace = Trace("cached", columns=real_trace.columns)
         assert trace.records is trace.records
         assert trace.columns is trace.columns
-
-    def test_memory_records_cached_filter(self):
-        records = [_record(op_class=OC_LOAD, region=0, mode=3),
-                   _record(op_class=OC_IALU),
-                   _record(op_class=OC_STORE, region=2, mode=1)]
-        trace = Trace("t", records)
-        assert [r.op_class for r in trace.memory_records] \
-            == [OC_LOAD, OC_STORE]
-        assert trace.memory_records is trace.memory_records
 
     def test_iteration_matches_records(self):
         records = [_record(), _record(op_class=OC_BRANCH, taken=True)]

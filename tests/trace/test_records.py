@@ -74,9 +74,6 @@ class TestTraceContainer:
         assert trace.load_fraction() == 0.5
         assert trace.store_fraction() == 0.25
 
-    def test_memory_records(self):
-        assert len(self._trace().memory_records) == 3
-
     def test_iteration(self):
         assert sum(1 for _ in self._trace()) == 4
 

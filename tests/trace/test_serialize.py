@@ -1,4 +1,11 @@
-"""Tests for trace persistence."""
+"""Tests for trace persistence: the one column codec.
+
+The integrity and sentinel cases run on both entry layouts of the
+codec - a whole trace in one file (``save_trace``/``load_trace``) and
+a :class:`~repro.trace.shards.ShardWriter` set of at least three
+shards - through the ``Test*`` classes' layout attributes, which the
+``TestShard*`` subclasses override.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +17,7 @@ from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, Trace,
                                  TraceRecord)
 from repro.trace.serialize import (_NO_VALUE, TraceIntegrityError,
                                    load_trace, save_trace)
+from repro.trace.shards import ShardWriter, load_sharded, shard_trace
 
 _FIELDS = ("pc", "op_class", "dst", "src1", "src2", "addr", "mode",
            "region", "taken", "ra", "value")
@@ -23,6 +31,52 @@ def _assert_same_trace(before, after):
     for b, a in zip(before.records, after.records):
         for field in _FIELDS:
             assert getattr(b, field) == getattr(a, field), field
+
+
+def _save_whole(trace, directory):
+    """Save ``trace`` as one whole-trace file; returns its codec files."""
+    path = directory / "trace.npz"
+    save_trace(trace, path)
+    return [path]
+
+
+def _load_whole(directory):
+    return load_trace(directory / "trace.npz")
+
+
+def _save_sharded(trace, directory):
+    """Save ``trace`` as a shard set of at least three shards; returns
+    its codec files in shard order."""
+    rows = max(1, -(-len(trace) // 3))
+    writer = ShardWriter(directory / "entry", trace.name, rows)
+    for chunk in shard_trace(trace, rows).chunks():
+        writer.append(chunk)
+    view = writer.finish(trace.output, trace.exit_code)
+    assert view.num_shards >= min(3, len(trace))
+    return [directory / "entry" / view.shard_meta(i)["file"]
+            for i in range(view.num_shards)]
+
+
+def _load_sharded(directory):
+    return load_sharded(directory / "entry").materialize()
+
+
+class _WholeLayout:
+    """Layout attributes: one whole-trace file, identity in its meta."""
+
+    save = staticmethod(_save_whole)
+    load = staticmethod(_load_whole)
+    tamper_identity = staticmethod(
+        lambda meta: meta.__setitem__("name", "impostor"))
+
+
+class _ShardedLayout:
+    """Layout attributes: a shard set, identity = each shard's index."""
+
+    save = staticmethod(_save_sharded)
+    load = staticmethod(_load_sharded)
+    tamper_identity = staticmethod(
+        lambda meta: meta.__setitem__("index", meta["index"] + 1))
 
 
 @pytest.fixture(scope="module")
@@ -128,44 +182,60 @@ def _rewrite(path, mutate):
     np.savez_compressed(str(path), **payload)
 
 
-class TestIntegrity:
+class TestIntegrity(_WholeLayout):
     """The embedded CRC-32 catches corruption that still deserialises."""
+
+    def _victim(self, trace, tmp_path):
+        """Save ``trace``; return the file to corrupt (a middle shard
+        of a shard set)."""
+        files = self.save(trace, tmp_path)
+        return files[len(files) // 2]
 
     def test_integrity_error_is_a_value_error(self):
         assert issubclass(TraceIntegrityError, ValueError)
 
     def test_intact_file_loads(self, trace, tmp_path):
-        path = tmp_path / "ok.npz"
-        save_trace(trace, path)
-        _rewrite(path, lambda meta, payload: None)   # no-op rewrite
-        _assert_same_trace(trace, load_trace(path))
+        _rewrite(self._victim(trace, tmp_path),
+                 lambda meta, payload: None)   # no-op rewrite
+        _assert_same_trace(trace, self.load(tmp_path))
 
     def test_tampered_column_detected(self, trace, tmp_path):
-        path = tmp_path / "bitrot.npz"
-        save_trace(trace, path)
-
         def flip(meta, payload):
             payload["addr"] = payload["addr"].copy()
             payload["addr"][0] ^= 1
 
-        _rewrite(path, flip)
+        _rewrite(self._victim(trace, tmp_path), flip)
         with pytest.raises(TraceIntegrityError, match="checksum"):
-            load_trace(path)
+            self.load(tmp_path)
 
     def test_tampered_identity_detected(self, trace, tmp_path):
-        path = tmp_path / "renamed.npz"
-        save_trace(trace, path)
-        _rewrite(path, lambda meta, payload:
-                 meta.__setitem__("name", "impostor"))
+        _rewrite(self._victim(trace, tmp_path),
+                 lambda meta, payload: self.tamper_identity(meta))
         with pytest.raises(TraceIntegrityError, match="checksum"):
-            load_trace(path)
+            self.load(tmp_path)
 
     def test_missing_checksum_detected(self, trace, tmp_path):
-        path = tmp_path / "unchecked.npz"
-        save_trace(trace, path)
-        _rewrite(path, lambda meta, payload: meta.pop("checksum"))
+        _rewrite(self._victim(trace, tmp_path),
+                 lambda meta, payload: meta.pop("checksum"))
         with pytest.raises(TraceIntegrityError, match="checksum"):
-            load_trace(path)
+            self.load(tmp_path)
+
+    def test_wrong_version_detected(self, trace, tmp_path):
+        _rewrite(self._victim(trace, tmp_path),
+                 lambda meta, payload: meta.__setitem__("version", 99))
+        with pytest.raises(TraceIntegrityError, match="version 99"):
+            self.load(tmp_path)
+
+    def test_truncated_file_detected(self, trace, tmp_path):
+        victim = self._victim(trace, tmp_path)
+        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size
+                                                // 2])
+        with pytest.raises(TraceIntegrityError, match="unreadable"):
+            self.load(tmp_path)
+
+
+class TestShardIntegrity(_ShardedLayout, TestIntegrity):
+    """Every integrity case again, on one shard of a shard set."""
 
 
 def _record(value=None, **overrides):
@@ -176,7 +246,7 @@ def _record(value=None, **overrides):
     return TraceRecord(**defaults)
 
 
-class TestSentinelHandling:
+class TestSentinelHandling(_WholeLayout):
     """Regression: result values near the None sentinel must survive a
     round-trip, and None must stay None."""
 
@@ -185,33 +255,35 @@ class TestSentinelHandling:
         values = [sentinel + 1, sentinel + 2, -1, 0, 1, None,
                   -(2 ** 63), 2 ** 63 - 1]
         trace = Trace("near-sentinel", [_record(value=v) for v in values])
-        path = tmp_path / "near.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
+        self.save(trace, tmp_path)
+        loaded = self.load(tmp_path)
         assert [r.value for r in loaded.records] == values
 
     def test_none_round_trips_as_none(self, tmp_path):
         trace = Trace("none", [_record(value=None), _record(value=7)])
-        path = tmp_path / "none.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
+        self.save(trace, tmp_path)
+        loaded = self.load(tmp_path)
         assert loaded.records[0].value is None
         assert loaded.records[1].value == 7
 
     def test_sentinel_valued_record_rejected_at_save(self, tmp_path):
-        trace = Trace("collide", [_record(value=int(_NO_VALUE))])
-        with pytest.raises(ValueError):
-            save_trace(trace, tmp_path / "collide.npz")
+        values = [1, 2, 3, 4, 5, int(_NO_VALUE)]
+        trace = Trace("collide", [_record(value=v) for v in values])
+        with pytest.raises(ValueError, match="sentinel"):
+            self.save(trace, tmp_path)
 
     def test_empty_trace_round_trips(self, tmp_path):
         trace = Trace("empty", [], output=[1, 2.5, 3], exit_code=9)
-        path = tmp_path / "empty.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
+        self.save(trace, tmp_path)
+        loaded = self.load(tmp_path)
         assert len(loaded) == 0
         assert loaded.name == "empty"
         assert loaded.output == [1, 2.5, 3]
         assert loaded.exit_code == 9
+
+
+class TestShardSentinelHandling(_ShardedLayout, TestSentinelHandling):
+    """Every sentinel case again, on a shard set."""
 
 
 _INT64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)

@@ -15,7 +15,7 @@ import pytest
 
 from repro import config
 from repro.trace import cache as cache_mod
-from repro.trace import shards
+from repro.trace import serialize, shards
 from repro.trace.cache import TraceCache
 from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_HEAP, REGION_STACK,
@@ -266,7 +266,7 @@ class TestShardStats:
     def test_inconsistent_manifest_rejected(self):
         view = shard_trace(_random_trace(10, n=10), 4)
         manifest = {
-            "version": shards.SHARD_FORMAT_VERSION,
+            "version": serialize.FORMAT_VERSION,
             "name": view.name, "shard_rows": 4,
             "total_rows": view.total_rows + 1,
             "output": [], "exit_code": 0,
