@@ -29,12 +29,11 @@ Commands
     Run an experiment with metrics collection enabled and print the
     collected per-cell metrics.  ``--check`` exits non-zero if any
     registered metric is NaN or negative.
-``profile <run...> [--chrome FILE] [--check] [--request ID]``
+``profile <run...> [--chrome FILE] [--request ID]``
     Aggregate ``--trace-spans`` run directories into a wall-clock
-    span tree, optionally export Chrome trace-event / Perfetto JSON,
-    and (``--check``) gate against the recorded perf baseline.
-    ``--request ID`` instead merges the spans stamped with one client
-    ``request_id`` across *all* the given runs into a single
+    span tree and optionally export Chrome trace-event / Perfetto
+    JSON.  ``--request ID`` instead merges the spans stamped with one
+    client ``request_id`` across *all* the given runs into a single
     wall-clock timeline - e.g. the journals of two supervised daemon
     incarnations either side of a crash.
 ``serve [--port P] [--warm W[@S] ...] [--telemetry FILE]``
@@ -48,12 +47,11 @@ Commands
     Live terminal dashboard for a running daemon: subscribes to the
     ``stats --stream`` op and renders QPS, latency quantiles, LRU
     hit rate, shed counters, and the admission state per frame.
-``bench load [--clients N] [--count M] [--history FILE]``
+``bench load [--clients N] [--count M] [--scenario thrash]``
     Multiprocess load generator against a running daemon; reports
     p50/p95/p99 latency and sustained QPS into ``BENCH_serve.json``
-    and (``--history``) appends a trend line to the shared
-    ``benchmarks/results/history.jsonl`` journal rendered by
-    ``tools/bench_trend.py``.
+    (``--scenario thrash`` drills admission shedding).  Speed claims
+    come from the repository benchmark, ``benchmarks/perf``.
 
 Exit codes
 ----------
@@ -87,6 +85,12 @@ parent parser:
 ``--trace-spans DIR`` write a run manifest and hierarchical span
                      journal to DIR (``repro profile DIR`` reads it);
                      purely additive - results stay byte-identical
+
+``experiment`` (and every experiment alias) also takes ``--verbose``:
+it journals spans - into the ``--trace-spans`` directory if given,
+else into a temporary directory removed afterwards - and prints the
+stage report rendered from that journal to stderr
+(:func:`repro.obs.profile.render_stage_report`).
 """
 
 from __future__ import annotations
@@ -95,8 +99,10 @@ import argparse
 import atexit
 import signal
 import sys
+import tempfile
 import threading
 import traceback
+from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -236,8 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("names", nargs="*", default=[])
     experiment.add_argument(
         "--verbose", action="store_true",
-        help="print a per-stage timing report (functional sim vs. "
-             "trace-cache I/O vs. replay) to stderr")
+        help="journal spans and print the stage report read from "
+             "them (cache outcomes, seconds per span name, per-cell "
+             "lines) to stderr")
     experiment.set_defaults(handler=_cmd_experiment,
                             default_scale=api.DEFAULT_EXPERIMENT_SCALE)
 
@@ -257,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="aggregate a --trace-spans run: span tree, Perfetto "
-             "export, perf-regression gate")
+             "export")
     profile.add_argument(
         "runs", nargs="+", type=Path, metavar="run",
         help="run directory written by --trace-spans (or a bare "
@@ -270,19 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chrome", metavar="FILE", type=Path, default=None,
         help="also export Chrome trace-event JSON (loadable in "
              "Perfetto / chrome://tracing)")
-    profile.add_argument(
-        "--check", action="store_true",
-        help="compare the run's wall-clock against the recorded "
-             "baseline; exit non-zero on a regression")
-    profile.add_argument(
-        "--baseline", metavar="FILE", type=Path,
-        default=obs_profile.DEFAULT_BASELINE,
-        help="baseline JSON for --check [%(default)s]")
-    profile.add_argument(
-        "--threshold", type=float,
-        default=obs_profile.DEFAULT_THRESHOLD, metavar="FRAC",
-        help="allowed fractional slowdown before --check fails "
-             "[%(default)s]")
     profile.set_defaults(handler=_cmd_profile)
 
     serve = sub.add_parser(
@@ -419,10 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="FILE",
                       help="write the JSON load report to FILE "
                            "[%(default)s]")
-    load.add_argument("--history", metavar="FILE", default=None,
-                      help="also append a trend line to this "
-                           "append-only journal (render with "
-                           "tools/bench_trend.py)")
     load.set_defaults(handler=_cmd_bench_load)
 
     # Every experiment id as a top-level alias:
@@ -454,7 +444,6 @@ def _install_config(args) -> config.Config:
 
 def _apply_common(args) -> None:
     """Fresh per-run accumulators (the flags live in the config)."""
-    engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()           # drop any stale per-cell snapshots
     if getattr(args, "metrics_out", None):
@@ -521,8 +510,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    """Aggregate span journals: tree, Chrome export, baseline gate,
-    or (``--request``) one request's cross-incarnation timeline."""
+    """Aggregate span journals: tree and Chrome export, or
+    (``--request``) one request's cross-incarnation timeline."""
     try:
         runs = obs_profile.load_runs(args.runs)
     except FileNotFoundError as exc:
@@ -541,13 +530,6 @@ def _cmd_profile(args) -> int:
         if index:
             print()
         print(obs_profile.render_tree(run))
-    if args.check:
-        verdict = obs_profile.compare_baseline(
-            runs[0], baseline_path=args.baseline,
-            threshold=args.threshold)
-        for message in verdict.messages:
-            print(message, file=sys.stderr)
-        return verdict.exit_code
     return 0
 
 
@@ -586,9 +568,6 @@ def _cmd_experiment(args) -> int:
     _apply_common(args)
     result, scale = _run_experiment(args)
     print(result.render())
-    if getattr(args, "verbose", False):
-        # stderr, so stdout stays byte-identical across --jobs levels.
-        print(engine.render_stage_report(), file=sys.stderr)
     _export_metrics(args, args.id, scale, result.metrics)
     return 0
 
@@ -792,9 +771,6 @@ def _cmd_bench_load(args) -> int:
                                 params=params, out=args.out)
     print(bench.render_report(report))
     print(f"load report written to {args.out}", file=sys.stderr)
-    if args.history:
-        path = bench.append_history(report, args.history)
-        print(f"trend line appended to {path}", file=sys.stderr)
     if report.get("dead_clients"):
         print(f"repro bench: {report['dead_clients']} client(s) died "
               f"mid-run", file=sys.stderr)
@@ -807,17 +783,34 @@ def _cmd_bench_load(args) -> int:
 def _observed(args, argv: Optional[List[str]]) -> int:
     """Install the run's configuration, then run the handler, tracing
     it when ``--trace-spans`` (or the environment) names a run
-    directory.
+    directory or ``--verbose`` asks for the stage report.
 
     Tracing is strictly additive: the manifest and span journal go to
     the run directory, the root CLI span wraps the whole handler, and
     worker journals are merged when the tracer is torn down - stdout
     and every export stay byte-identical to an untraced run.
+    ``--verbose`` without a run directory journals into a temporary
+    one, removed once the report (stderr) is rendered from it.
     """
     cfg = _install_config(args)
-    directory = cfg.trace_spans
-    if directory is None:
+    verbose = getattr(args, "verbose", False)
+    if cfg.trace_spans is None and not verbose:
         return args.handler(args)
+    with ExitStack() as scope:
+        directory = cfg.trace_spans or scope.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-spans-"))
+        code = _traced(args, argv, cfg, directory)
+        if verbose:
+            print(obs_profile.render_stage_report(
+                obs_profile.load_run(directory),
+                resilience=engine.resilience_snapshot()),
+                file=sys.stderr)
+        return code
+
+
+def _traced(args, argv: Optional[List[str]], cfg: config.Config,
+            directory) -> int:
+    """Run the handler with span journaling into ``directory``."""
     tracer = spans.enable(directory)
     experiment = getattr(args, "id", None)
     scale = getattr(args, "scale", None)

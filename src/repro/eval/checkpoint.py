@@ -7,8 +7,8 @@ OOM, power loss) leaves a journal describing exactly the cells that
 completed.  Re-running the same sweep with the same journal directory
 (the CLI's ``--checkpoint DIR``) replays those cells from disk and
 executes only the missing ones; replayed cells restore their recorded
-metric snapshots and stage times, so a resumed run renders tables and
-exports metrics byte-identical to an uninterrupted one.
+metric snapshots, so a resumed run renders tables and exports metrics
+byte-identical to an uninterrupted one.
 
 Entries are keyed by a digest of the cell's identity - the worker
 function's qualified name, the workload name, the scale, and the extra
@@ -39,7 +39,7 @@ from typing import Callable, Optional, Tuple, Union
 from repro import config, quarantine
 
 #: Bump to invalidate every existing journal entry at once.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Journal file suffix (entries are ``<digest>.cell``).
 SUFFIX = ".cell"
@@ -116,9 +116,9 @@ class CellJournal:
     # -- entry I/O ------------------------------------------------------
 
     def load(self, worker: Callable, name: str, scale: float,
-             args: tuple) -> Optional[Tuple[object, object, object]]:
-        """The recorded ``(result, stage_times, metric_snapshot)`` for
-        a completed cell, or None (counting a miss) if absent/invalid."""
+             args: tuple) -> Optional[Tuple[object, object]]:
+        """The recorded ``(result, metric_snapshot)`` for a completed
+        cell, or None (counting a miss) if absent/invalid."""
         key = cell_key(worker, name, scale, args)
         path = self.path_for(key)
         if not path.exists():
@@ -130,8 +130,7 @@ class CellJournal:
             if (payload.get("version") != FORMAT_VERSION
                     or payload.get("key") != key):
                 raise ValueError("journal entry identity mismatch")
-            outcome = (payload["result"], payload["times"],
-                       payload["snapshot"])
+            outcome = (payload["result"], payload["snapshot"])
         except Exception:
             self._quarantine(path)
             self.stats.misses += 1
@@ -140,15 +139,13 @@ class CellJournal:
         return outcome
 
     def record(self, worker: Callable, name: str, scale: float,
-               args: tuple, result: object, times: object,
-               snapshot: object) -> Path:
+               args: tuple, result: object, snapshot: object) -> Path:
         """Atomically journal one completed cell; returns its path."""
         key = cell_key(worker, name, scale, args)
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         payload = {"version": FORMAT_VERSION, "key": key, "name": name,
-                   "result": result, "times": times,
-                   "snapshot": snapshot}
+                   "result": result, "snapshot": snapshot}
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:

@@ -32,93 +32,32 @@ disk as it finishes and a re-run replays journalled cells instead of
 executing them - an interrupted sweep resumes with only the missing
 cells.
 
-It also keeps a per-stage wall-clock breakdown (functional simulation
-vs. trace-cache I/O vs. predictor/timing replay) so speedups from the
-trace cache and the fan-out are directly measurable
-(``repro experiment <id> --verbose``).
+Where a run spends its time is recorded only in the span journal
+(:mod:`repro.obs.spans`): one ``cell`` span per execution attempt,
+``trace:fetch`` / ``checkpoint:replay`` spans beside it.  ``repro
+experiment <id> --verbose`` renders its stage report from that journal
+(:func:`repro.obs.profile.render_stage_report`).
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import config, metrics
-from repro.eval import checkpoint, faults, reporting
+from repro.eval import checkpoint, faults
 from repro.obs import spans
 from repro.testing import faults as fault_injection
 from repro.trace import cache as trace_cache
 from repro.trace import shards
 from repro.trace.shards import ShardedTrace
 from repro.workloads import suite
-
-# -- per-stage timing ---------------------------------------------------
-
-@dataclass
-class StageTimes:
-    """Wall-clock seconds per pipeline stage, summed over cells.
-
-    With ``--jobs N`` the stages of different cells overlap, so the sum
-    can exceed elapsed wall-clock; the report states CPU-seconds.
-    ``cache_corrupt`` rides along so corruption detected inside pool
-    workers reaches the parent's accounting.
-    """
-
-    functional_sim: float = 0.0
-    cache_io: float = 0.0
-    replay: float = 0.0
-    cells: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_corrupt: int = 0
-
-    def merge(self, other: "StageTimes") -> None:
-        self.functional_sim += other.functional_sim
-        self.cache_io += other.cache_io
-        self.replay += other.replay
-        self.cells += other.cells
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_corrupt += other.cache_corrupt
-
-    def snapshot(self) -> "StageTimes":
-        """An independent copy of the current accumulator state."""
-        return StageTimes(self.functional_sim, self.cache_io, self.replay,
-                          self.cells, self.cache_hits, self.cache_misses,
-                          self.cache_corrupt)
-
-    @property
-    def total(self) -> float:
-        return self.functional_sim + self.cache_io + self.replay
-
-    def render(self) -> str:
-        rows = [
-            ("functional simulation", reporting.seconds(self.functional_sim),
-             reporting.percent(self.functional_sim / max(1e-9, self.total))),
-            ("trace-cache I/O", reporting.seconds(self.cache_io),
-             reporting.percent(self.cache_io / max(1e-9, self.total))),
-            ("predictor/timing replay", reporting.seconds(self.replay),
-             reporting.percent(self.replay / max(1e-9, self.total))),
-        ]
-        cache = trace_cache.active_cache()
-        state = "off" if cache is None else str(cache.directory)
-        return reporting.format_table(
-            ["stage", "cpu-seconds", "share"], rows,
-            title=f"Stage timing: {self.cells} cells, trace cache "
-                  f"{state} ({self.cache_hits} hits / "
-                  f"{self.cache_misses} misses)")
-
-
-#: Process-local accumulator for the current driver invocation.
-_stages = StageTimes()
 
 #: Process-local recovery counters for the current driver invocation.
 _faults = faults.FaultStats()
@@ -127,9 +66,9 @@ _faults = faults.FaultStats()
 #: the directory changes).
 _journal: Optional[checkpoint.CellJournal] = None
 
-#: Per-cell ``[cache hits, cache misses, checkpoint replays]`` in
-#: submission order, for the ``--verbose`` per-cell report line.
-_cell_notes: "OrderedDict[str, List[int]]" = OrderedDict()
+#: I/O counter deltas of cells that ran in pool workers (their
+#: counters live only in the worker process).
+_worker_io: Dict[str, int] = {}
 
 
 def _cell_key(name: str) -> str:
@@ -138,33 +77,14 @@ def _cell_key(name: str) -> str:
     return name.split("#", 1)[0]
 
 
-def _note_cell(name: str, hits: int = 0, misses: int = 0,
-               replays: int = 0) -> None:
-    name = _cell_key(name)
-    entry = _cell_notes.get(name)
-    if entry is None:
-        entry = _cell_notes[name] = [0, 0, 0]
-    entry[0] += hits
-    entry[1] += misses
-    entry[2] += replays
-
-
-def reset_stage_times() -> None:
-    global _stages
-    _stages = StageTimes()
-    _cell_notes.clear()
-
-
-def stage_times() -> StageTimes:
-    return _stages
-
-
 def reset_fault_stats() -> None:
     """Zero the per-invocation recovery counters, including the
-    shard I/O tallies and checkpoint-journal counters they surface."""
+    shard I/O tallies, pool workers' I/O deltas and checkpoint-journal
+    counters they surface."""
     global _faults
     _faults = faults.FaultStats()
     shards.STATS.reset()
+    _worker_io.clear()
     if _journal is not None:
         _journal.reset_stats()
 
@@ -184,26 +104,45 @@ def active_journal() -> Optional[checkpoint.CellJournal]:
     return _journal
 
 
+def _io_counters() -> Dict[str, int]:
+    """This process's trace I/O counters that :func:`resilience_snapshot`
+    reports: shard traffic and the active cache's damage/GC/evictions."""
+    counters = shards.STATS.snapshot()
+    cache = trace_cache.active_cache()
+    if cache is not None:
+        counters["trace.cache.corrupt"] = cache.stats.corrupt
+        counters["trace.cache.quarantine_gc"] = cache.stats.quarantine_gc
+        counters["trace.cache.evictions"] = cache.stats.evictions
+    return counters
+
+
+def _absorb_worker_io(delta: Dict[str, int]) -> None:
+    """Add one pool-worker cell's I/O counter delta to this process's
+    tally (a serial cell's counters are already live here)."""
+    for key, value in delta.items():
+        _worker_io[key] = _worker_io.get(key, 0) + value
+
+
 def resilience_snapshot() -> Dict[str, int]:
     """Recovery counters for the current driver invocation.
 
     These describe what this particular run survived - unlike cell
     metrics they are *not* part of the byte-identical determinism
     guarantee (a recovered run reports its retries; an undisturbed one
-    reports zeros).
+    reports zeros).  Trace I/O counters are this process's plus every
+    pool-worker cell's delta, so they read the same at any ``--jobs``.
     """
+    io = _io_counters()
+    for key, value in _worker_io.items():
+        io[key] = io.get(key, 0) + value
     snap = {
         "engine.retries": _faults.retries,
         "engine.timeouts": _faults.timeouts,
         "engine.pool_rebuilds": _faults.pool_rebuilds,
         "engine.fallbacks.serial": _faults.serial_fallbacks,
-        "trace.cache.corrupt": _stages.cache_corrupt,
+        "trace.cache.corrupt": 0,
     }
-    snap.update(shards.STATS.snapshot())
-    cache = trace_cache.active_cache()
-    if cache is not None:
-        snap["trace.cache.quarantine_gc"] = cache.stats.quarantine_gc
-        snap["trace.cache.evictions"] = cache.stats.evictions
+    snap.update(io)
     journal = active_journal()
     if journal is not None:
         snap["checkpoint.hits"] = journal.stats.hits
@@ -213,23 +152,6 @@ def resilience_snapshot() -> Dict[str, int]:
         snap["checkpoint.quota_evictions"] = \
             journal.stats.quota_evictions
     return snap
-
-
-def render_stage_report() -> str:
-    report = _stages.render()
-    if _cell_notes:
-        width = max(len(name) for name in _cell_notes)
-        lines = [f"  {name:<{width}}  cache {hits} hit / {misses} miss"
-                 f"  replays {replays}"
-                 for name, (hits, misses, replays)
-                 in _cell_notes.items()]
-        report += "\nper-cell:\n" + "\n".join(lines)
-    recovered = {key: value for key, value
-                 in resilience_snapshot().items() if value}
-    if recovered:
-        report += "\nresilience: " + "  ".join(
-            f"{key}={value}" for key, value in sorted(recovered.items()))
-    return report
 
 
 # -- per-cell metrics collection ----------------------------------------
@@ -268,17 +190,17 @@ def _publish_trace_counts(counts: dict) -> None:
 # -- trace acquisition --------------------------------------------------
 
 def _fetch(name: str, scale: float):
-    """Fetch (or produce) the workload's trace handle, timed and
-    cache-accounted into the current stage breakdown; publishes
-    nothing.  Sharding on yields a :class:`ShardedTrace` (disk-backed
-    through the active cache, memory-chunked without one), off an
-    in-RAM :class:`Trace`."""
+    """Fetch (or produce) the workload's trace handle inside a
+    ``trace:fetch`` span whose ``cache`` attribute records the outcome
+    (hit, miss, corrupt, or off); publishes nothing.  Sharding on
+    yields a :class:`ShardedTrace` (disk-backed through the active
+    cache, memory-chunked without one), off an in-RAM :class:`Trace`."""
     cache = trace_cache.active_cache()
     shard_rows = config.active().shard_rows
     sharded = shard_rows > 0
     with spans.span("trace:fetch", workload=name, sharded=sharded) as sp:
-        before = cache.stats.snapshot() if cache is not None else None
-        started = time.perf_counter()
+        if cache is not None:
+            hits, corrupt = cache.stats.hits, cache.stats.corrupt
         if not sharded:
             trace = trace_cache.fetch_trace(name, scale)
         elif cache is None:
@@ -287,22 +209,13 @@ def _fetch(name: str, scale: float):
         else:
             trace = cache.fetch_sharded(name, scale, shard_rows)
         if cache is None:
-            _stages.functional_sim += time.perf_counter() - started
             sp.set("cache", "off")
+        elif cache.stats.hits > hits:
+            sp.set("cache", "hit")
+        elif cache.stats.corrupt > corrupt:
+            sp.set("cache", "corrupt")
         else:
-            _stages.functional_sim += cache.stats.sim_seconds \
-                - before.sim_seconds
-            _stages.cache_io += cache.stats.load_seconds \
-                - before.load_seconds
-            _stages.cache_hits += cache.stats.hits - before.hits
-            _stages.cache_misses += cache.stats.misses - before.misses
-            _stages.cache_corrupt += cache.stats.corrupt - before.corrupt
-            if cache.stats.hits > before.hits:
-                sp.set("cache", "hit")
-            elif cache.stats.corrupt > before.corrupt:
-                sp.set("cache", "corrupt")
-            else:
-                sp.set("cache", "miss")
+            sp.set("cache", "miss")
     return trace
 
 
@@ -355,32 +268,25 @@ def _init_worker(cfg: config.Config,
         spans.enable_worker(*obs_state)
 
 
-def _swap_stages(new: StageTimes) -> StageTimes:
-    global _stages
-    old = _stages
-    _stages = new
-    return old
-
-
 def _run_cell(worker: Callable, name: str, scale: float, args: tuple,
               collect_metrics: bool = False, index: int = 0,
               attempt: int = 0)\
-        -> Tuple[object, StageTimes, Optional[Dict[str, dict]]]:
-    """One cell, with its stage breakdown and metrics isolated.
+        -> Tuple[object, Optional[Dict[str, dict]], Dict[str, int]]:
+    """One cell: ``(result, metric snapshot, I/O counter delta)``.
 
     Runs in the parent (serial mode) or in a pool worker; either way
-    the caller merges the returned StageTimes into its accumulator and
-    the metric snapshot into the per-cell collection.  ``index`` and
-    ``attempt`` identify the execution for the deterministic
-    fault-injection harness.
+    the caller merges the metric snapshot into the per-cell
+    collection.  The delta covers every counter :func:`_io_counters`
+    reads - the parent adds it for cells that ran in a worker, whose
+    process-local counters it cannot see.  ``index`` and ``attempt``
+    identify the execution for the deterministic fault-injection
+    harness.
     """
     fault_injection.fire_cell(name, index, attempt)
-    local = StageTimes()
-    outer = _swap_stages(local)
     registry = metrics.MetricsRegistry() if collect_metrics else None
     outer_registry = metrics.swap(registry) if registry is not None \
         else None
-    started = time.perf_counter()
+    before = _io_counters()
     try:
         # The cell span opens after the registry swap so its metric
         # delta is exactly this cell's counters.
@@ -388,38 +294,32 @@ def _run_cell(worker: Callable, name: str, scale: float, args: tuple,
                         index=index, attempt=attempt):
             result = worker(name, scale, *args)
     finally:
-        # Restore the caller's accumulator (serial path nests inside
-        # the driver's own timing scope).
-        _swap_stages(outer)
         if registry is not None:
             metrics.swap(outer_registry)
-    elapsed = time.perf_counter() - started
-    local.replay += max(
-        0.0, elapsed - local.functional_sim - local.cache_io)
-    local.cells += 1
+    io = {key: value - before.get(key, 0)
+          for key, value in _io_counters().items()
+          if value != before.get(key, 0)}
     snapshot = registry.snapshot() if registry is not None else None
-    return result, local, snapshot
+    return result, snapshot, io
 
 
-def _record_cell(name: str, times: StageTimes,
-                 snapshot: Optional[Dict[str, dict]]) -> None:
-    name = _cell_key(name)
-    _stages.merge(times)
-    _note_cell(name, hits=times.cache_hits, misses=times.cache_misses)
+def _record_cell(name: str, snapshot: Optional[Dict[str, dict]]) -> None:
     if snapshot is None:
         return
+    name = _cell_key(name)
     existing = _metric_cells.get(name)
     _metric_cells[name] = snapshot if existing is None \
         else metrics.merge_snapshots(existing, snapshot)
 
 
-def _journal_record(journal: Optional[checkpoint.CellJournal],
-                    worker: Callable, name: str, scale: float,
-                    args: tuple, outcome: tuple) -> None:
-    if journal is None:
-        return
-    result, times, snapshot = outcome
-    journal.record(worker, name, scale, args, result, times, snapshot)
+def _bank(outcomes: Dict[int, tuple], i: int, outcome: tuple,
+          journal: Optional[checkpoint.CellJournal], worker: Callable,
+          name: str, scale: float, args: tuple) -> None:
+    """Keep a completed cell's ``(result, snapshot)`` and journal it."""
+    result, snapshot, _io = outcome
+    outcomes[i] = (result, snapshot)
+    if journal is not None:
+        journal.record(worker, name, scale, args, result, snapshot)
 
 
 class _SerialCellTimeout(Exception):
@@ -502,9 +402,8 @@ def _run_serial(worker: Callable, names: Sequence[str], scale: float,
                 _faults.retries += 1
                 faults._sleep(policy.backoff(attempt))
             else:
-                outcomes[i] = outcome
-                _journal_record(journal, worker, names[i], scale, args,
-                                outcome)
+                _bank(outcomes, i, outcome, journal, worker, names[i],
+                      scale, args)
                 break
 
 
@@ -533,8 +432,9 @@ def _harvest_done(futures: Dict[int, "object"],
             outcome = future.result(timeout=0)
         except Exception:
             continue        # re-runs in the next pool
-        outcomes[j] = outcome
-        _journal_record(journal, worker, names[j], scale, args, outcome)
+        _absorb_worker_io(outcome[2])
+        _bank(outcomes, j, outcome, journal, worker, names[j], scale,
+              args)
 
 
 def _run_pool(worker: Callable, names: Sequence[str], scale: float,
@@ -548,6 +448,9 @@ def _run_pool(worker: Callable, names: Sequence[str], scale: float,
     attempts = {i: 0 for i in pending}
     rebuilds = 0
     initargs = (config.active(), spans.worker_state())
+    # Open the cache here, so a quarantine collection on open counts in
+    # this process rather than in a worker outside any cell's delta.
+    trace_cache.active_cache()
     while pending:
         if rebuilds > policy.max_pool_rebuilds:
             _faults.serial_fallbacks += 1
@@ -610,9 +513,9 @@ def _run_pool(worker: Callable, names: Sequence[str], scale: float,
                             broken = True
                             break
                     else:
-                        outcomes[i] = outcome
-                        _journal_record(journal, worker, names[i],
-                                        scale, args, outcome)
+                        _absorb_worker_io(outcome[2])
+                        _bank(outcomes, i, outcome, journal, worker,
+                              names[i], scale, args)
                 if abandon:
                     break
         finally:
@@ -647,13 +550,13 @@ def run_cells(worker: Callable, names: Sequence[str], scale: float,
     into a fresh registry and the per-cell snapshots are merged into
     the accumulator behind :func:`take_metrics` in submission order -
     so metric exports, like rendered tables, are byte-identical at any
-    ``--jobs`` level.  Stage times and metric snapshots are merged only
-    after *all* cells have completed, which keeps that guarantee intact
-    on every fault-recovery path.
+    ``--jobs`` level.  Metric snapshots are merged only after *all*
+    cells have completed, which keeps that guarantee intact on every
+    fault-recovery path.
 
     With a checkpoint journal configured, journalled cells are replayed
-    from disk (restoring their recorded stage times and metric
-    snapshots) and only the missing cells execute.
+    from disk (restoring their recorded metric snapshots) and only the
+    missing cells execute.
     """
     return _run_cells(worker, list(names), scale, args, jobs,
                       active_journal())
@@ -673,12 +576,12 @@ def _run_cells(worker: Callable, names: List[str], scale: float,
             if journal is None:
                 pending.append(i)
                 continue
-            with spans.span("checkpoint:replay", workload=name) as sp:
+            with spans.span("checkpoint:replay", workload=name,
+                            index=i) as sp:
                 cached = journal.load(worker, name, scale, args)
                 sp.set("hit", cached is not None)
             if cached is not None:
                 outcomes[i] = cached
-                _note_cell(name, replays=1)
             else:
                 pending.append(i)
         if pending:
@@ -693,8 +596,8 @@ def _run_cells(worker: Callable, names: List[str], scale: float,
                           outcomes, policy, journal, effective)
         results = []
         for i, name in enumerate(names):
-            result, times, snapshot = outcomes[i]
-            _record_cell(name, times, snapshot)
+            result, snapshot = outcomes[i]
+            _record_cell(name, snapshot)
             results.append(result)
         return results
 
@@ -738,14 +641,11 @@ def _shard_cell(pseudo: str, scale: float, partial: Callable,
     """
     name, _, index = pseudo.partition("#")
     index = int(index)
-    started = time.perf_counter()
     trace = trace_cache.active_cache().load_sharded(
         name, scale, config.active().shard_rows)
     if trace is None:       # evicted or quarantined since pass 1
         trace = _fetch(name, scale)
-    chunk = trace.chunk(index)
-    _stages.cache_io += time.perf_counter() - started
-    return partial(name, scale, chunk, index, *args)
+    return partial(name, scale, trace.chunk(index), index, *args)
 
 
 def _combine_cell(name: str, scale: float, fold: Callable,
@@ -784,9 +684,10 @@ def run_cells_sharded(partial: Callable, fold: Callable,
     Byte-identity: shard cells publish nothing, the produce and
     combine cells publish exactly what one serial cell would, and
     partials are folded in shard order - so tables and metric exports
-    match at any ``--jobs`` / ``--shard-rows``.  The stage report
-    counts one cell per workload either way: the shard and combine
-    cells are parts of their workload's cell.
+    match at any ``--jobs`` / ``--shard-rows``.  The shard and combine
+    cells are parts of their workload's cell: their spans carry the
+    workload name (``name#i`` for a shard), and the stage report folds
+    them into it.
     """
     if (not config.active().shard_rows
             or trace_cache.active_cache() is None):
@@ -795,7 +696,6 @@ def run_cells_sharded(partial: Callable, fold: Callable,
     names = list(names)
     with spans.span("engine:fanout", cells=len(names)) as sp:
         counts = run_cells(_produce_cell, names, scale, jobs=jobs)
-        cells = _stages.cells
         pseudo = [f"{name}#{index}"
                   for name, count in zip(names, counts)
                   for index in range(count)]
@@ -809,8 +709,5 @@ def run_cells_sharded(partial: Callable, fold: Callable,
         # from the journalled shard cells - journalling it would key
         # entries on the partials themselves (huge, repr-truncated),
         # so it always re-runs instead.
-        try:
-            return _run_cells(_combine_cell, names, scale,
-                              (fold, partials, *args), 1, None)
-        finally:
-            _stages.cells = cells
+        return _run_cells(_combine_cell, names, scale,
+                          (fold, partials, *args), 1, None)

@@ -4,8 +4,8 @@ Each driver runs the full workload suite (at a configurable scale)
 through the relevant subsystem and returns an
 :class:`repro.eval.result.ExperimentResult` - the uniform container
 carrying the render-ready table, per-cell metric snapshots (when the
-metrics registry is enabled), the wall-clock stage breakdown, and the
-driver's typed payload under ``data``.  The experiment ids follow
+metrics registry is enabled), and the driver's typed payload under
+``data``.  The experiment ids follow
 DESIGN.md's per-experiment index: the paper artifacts (T1, F2, T2, F4,
 T3, F5, S33, F8), the ablations (A1-A3), and the extensions (A4
 Figure-6 compiler hints, A5 banked caches, A6 heap decoupling, A7
@@ -66,8 +66,7 @@ def _result(experiment: str, payload: _TableResult) -> ExperimentResult:
     """Wrap a typed payload in the uniform :class:`ExperimentResult`.
 
     Pops the per-cell metric snapshots the engine accumulated for this
-    driver invocation and freezes the stage-time breakdown, so the
-    result is self-contained.
+    driver invocation, so the result is self-contained.
     """
     headers, rows, title = payload.table()
     return ExperimentResult(
@@ -76,7 +75,6 @@ def _result(experiment: str, payload: _TableResult) -> ExperimentResult:
         headers=list(headers),
         rows=[list(row) for row in rows],
         metrics=engine.take_metrics(),
-        stage_times=engine.stage_times().snapshot(),
         data=payload,
     )
 

@@ -3,8 +3,8 @@
 Historically each driver returned its own shape (typed dataclasses,
 dicts of dicts, tuples); :class:`ExperimentResult` unifies them: one
 container carrying the render-ready table (headers + rows + title),
-the per-cell metric snapshots collected during the run, the wall-clock
-stage breakdown, and the original typed payload under ``data``.
+the per-cell metric snapshots collected during the run, and the
+original typed payload under ``data``.
 
 The typed payload is reached explicitly - ``figure4(...).data.results``
 - with no attribute forwarding: an unknown attribute on
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro import metrics
 from repro.eval import reporting
-from repro.eval.engine import StageTimes
 
 
 @dataclass
@@ -38,8 +37,6 @@ class ExperimentResult:
     #: Per-workload-cell metric snapshots (collection is opt-in; empty
     #: when the metrics registry was disabled during the run).
     metrics: Dict[str, Dict[str, dict]] = field(default_factory=dict)
-    #: Wall-clock stage breakdown accumulated while the driver ran.
-    stage_times: Optional[StageTimes] = None
     #: The legacy typed payload (Table1Result, Figure4Result, ...).
     data: Any = None
 

@@ -9,13 +9,13 @@ without changing its results:
 * :mod:`repro.obs.manifest` - the run manifest written next to each
   journal (command, config, git SHA, environment, clock anchors);
 * :mod:`repro.obs.profile` - journal aggregation: wall-clock trees,
-  Chrome trace-event / Perfetto export, and baseline regression
-  gating (the ``repro profile`` subcommand).
+  Chrome trace-event / Perfetto export (the ``repro profile``
+  subcommand), and the ``--verbose`` stage report.
 
-Tracing is opt-in via the CLI's ``--trace-spans DIR`` flag or the
-``REPRO_TRACE_SPANS`` environment variable; observability is strictly
-additive - rendered tables and metric exports stay byte-identical
-whether or not a run is traced.
+Tracing is opt-in via the CLI's ``--trace-spans DIR`` flag, the
+``REPRO_TRACE_SPANS`` environment variable, or ``--verbose``;
+observability is strictly additive - rendered tables and metric
+exports stay byte-identical whether or not a run is traced.
 """
 
 from repro.obs import manifest, spans

@@ -1,19 +1,19 @@
-"""Span-journal aggregation: trees, Chrome traces, regression gating.
+"""Span-journal aggregation: trees, Chrome traces, stage reports.
 
-Backs the ``repro profile`` subcommand.  A *run* is a directory
-holding a ``manifest.json`` and a ``spans.jsonl`` journal (plus any
-unmerged worker journals left behind by a crashed run - those are
-folded in on load, so a killed sweep still profiles).  Three consumers:
+Backs the ``repro profile`` subcommand and ``--verbose``.  A *run* is
+a directory holding a ``manifest.json`` and a ``spans.jsonl`` journal
+(plus any unmerged worker journals left behind by a crashed run -
+those are folded in on load, so a killed sweep still profiles).
+Consumers:
 
 * :func:`render_tree` - the per-stage/per-cell wall-clock tree plus an
   aggregate by span name, for reading in a terminal;
+* :func:`render_stage_report` - the ``repro experiment <id>
+  --verbose`` report: cache outcomes, seconds per span name, and one
+  line per workload cell;
 * :func:`chrome_document` - Chrome trace-event JSON (the ``ph: "X"``
   complete-event form), loadable in Perfetto / ``chrome://tracing``
   for flamegraph viewing;
-* :func:`compare_baseline` - compares the run's root wall-clock
-  against the recorded per-experiment baseline
-  (``benchmarks/results/BENCH_perf_baseline.json``) and flags
-  regressions beyond a threshold, the CI perf gate;
 * :func:`request_timeline` - merges the spans stamped with one
   client ``request_id`` across *multiple* runs (e.g. the journals of
   two daemon incarnations either side of a supervised restart) into a
@@ -22,7 +22,9 @@ folded in on load, so a killed sweep still profiles).  Three consumers:
 
 Rotated journal segments (``spans.jsonl.old``, rotated worker
 segments) are folded in on load, so long-lived daemons profile
-completely.
+completely.  Speed claims come from the repository benchmark
+(``benchmarks/perf``), not from here: a journal says where one run
+spent its time.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.eval import reporting
 from repro.obs import manifest as run_manifest
 from repro.obs.spans import JOURNAL, ROTATED_SUFFIX, WORKER_PREFIX
-
-#: Default baseline consulted by ``repro profile --check`` (relative to
-#: the working directory, i.e. the repository root in normal use).
-DEFAULT_BASELINE = Path("benchmarks") / "results" \
-    / "BENCH_perf_baseline.json"
-
-#: Default allowed slowdown over baseline before --check fails (25%).
-DEFAULT_THRESHOLD = 0.25
 
 #: Children rendered per parent before eliding the rest.
 MAX_CHILDREN = 32
@@ -378,11 +372,11 @@ def _tree_rows(span: dict,
                      + f"... ({len(kids) - MAX_CHILDREN} more)", "", ""))
 
 
-def aggregate_by_name(profile: RunProfile) -> List[Tuple[str, int,
-                                                         float, float]]:
+def aggregate_by_name(spans: List[dict]) -> List[Tuple[str, int,
+                                                       float, float]]:
     """``(name, count, total seconds, max seconds)`` per span name."""
     totals: Dict[str, List[float]] = {}
-    for span in profile.spans:
+    for span in spans:
         entry = totals.setdefault(span["name"], [0, 0.0, 0.0])
         entry[0] += 1
         entry[1] += span["dur"]
@@ -415,7 +409,7 @@ def render_tree(profile: RunProfile) -> str:
                  reporting.seconds(total_s / count),
                  reporting.seconds(peak)]
                 for name, count, total_s, peak
-                in aggregate_by_name(profile)]
+                in aggregate_by_name(profile.spans)]
     lines.append("")
     lines.append(reporting.format_table(
         ["span name", "count", "total", "mean", "max"], agg_rows,
@@ -423,6 +417,80 @@ def render_tree(profile: RunProfile) -> str:
     if profile.skipped:
         lines.append(f"({profile.skipped} malformed journal lines "
                      f"skipped)")
+    return "\n".join(lines)
+
+
+# -- stage report -------------------------------------------------------
+
+
+def render_stage_report(profile: RunProfile,
+                        resilience: Optional[Dict[str, int]] = None) -> str:
+    """The ``--verbose`` report of one run, read from its journal.
+
+    * a header: the cell count, the trace cache (from the manifest's
+      config) and the ``trace:fetch`` outcomes - a corrupt entry is
+      quarantined and re-produced, so it also counts as a miss;
+    * count and cumulative seconds per span name (nested spans and
+      parallel workers overlap, so the column can exceed wall-clock);
+    * one line per workload cell, in submission order: its cache hits
+      and misses and ``checkpoint:replay`` hits.  The sharded
+      fan-out's ``name#i`` shard cells and its combine cell fold into
+      their workload's line, so a sharded run reports the same cells
+      as an unsharded one;
+    * the non-zero ``resilience`` counters, if any.
+
+    Spans older than the manifest's start belong to an earlier run
+    journalled into the same directory and are left out.
+    """
+    since = profile.manifest.get("started_monotonic", float("-inf"))
+    run = [span for span in profile.spans if span["start"] >= since]
+    starts = {span["id"]: span["start"] for span in run}
+    rank: Dict[str, tuple] = {}         # workload -> first submission
+    tally: Dict[str, List[int]] = {}    # workload -> [hit, miss, replay]
+    corrupt = 0
+    for span in run:
+        name, attrs = span["name"], span["attrs"]
+        workload = str(attrs.get("workload", "")).partition("#")[0]
+        if name == "trace:fetch":
+            outcome = attrs.get("cache")
+            counts = tally.setdefault(workload, [0, 0, 0])
+            if outcome == "hit":
+                counts[0] += 1
+            elif outcome in ("miss", "corrupt"):
+                counts[1] += 1
+                corrupt += outcome == "corrupt"
+            continue
+        if name == "checkpoint:replay" and attrs.get("hit"):
+            tally.setdefault(workload, [0, 0, 0])[2] += 1
+        elif name != "cell" or "error" in attrs:
+            continue
+        order = (starts.get(span.get("parent"), 0.0),
+                 attrs.get("index", 0))
+        rank[workload] = min(rank.get(workload, order), order)
+    cells = sorted(rank, key=rank.get)
+    hits = sum(counts[0] for counts in tally.values())
+    misses = sum(counts[1] for counts in tally.values())
+    cache = profile.manifest.get("config", {}).get("trace_cache")
+    lines = [f"Stage timing: {len(cells)} cells, trace cache "
+             f"{cache or 'off'} ({hits} hits / {misses} misses, "
+             f"{corrupt} corrupt)"]
+    lines.append(reporting.format_table(
+        ["span name", "count", "seconds"],
+        [[name, count, reporting.seconds(total)]
+         for name, count, total, _ in aggregate_by_name(run)]))
+    if cells:
+        width = max(len(name) for name in cells)
+        lines.append("per-cell:")
+        for name in cells:
+            hit, miss, replays = tally.get(name, (0, 0, 0))
+            lines.append(f"  {name:<{width}}  cache {hit} hit / "
+                         f"{miss} miss  replays {replays}")
+    recovered = sorted((key, value)
+                       for key, value in (resilience or {}).items()
+                       if value)
+    if recovered:
+        lines.append("resilience: " + "  ".join(
+            f"{key}={value}" for key, value in recovered))
     return "\n".join(lines)
 
 
@@ -468,73 +536,3 @@ def write_chrome(profile: RunProfile, path: Union[str, Path]) -> Path:
     path.write_text(json.dumps(chrome_document(profile)) + "\n",
                     encoding="utf-8")
     return path
-
-
-# -- baseline comparison ------------------------------------------------
-
-
-@dataclass
-class BaselineVerdict:
-    """Outcome of comparing one run against the recorded baseline."""
-
-    status: str                   # "ok" | "regression" | "skipped"
-    messages: List[str] = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        """Non-zero only for a confirmed regression (CI gate)."""
-        return 1 if self.status == "regression" else 0
-
-
-def compare_baseline(profile: RunProfile,
-                     baseline_path: Union[str, Path] = DEFAULT_BASELINE,
-                     threshold: float = DEFAULT_THRESHOLD)\
-        -> BaselineVerdict:
-    """Compare the run's root wall-clock against the baseline.
-
-    The run regresses when its root span is more than
-    ``threshold`` (fractional) slower than the baseline seconds
-    recorded for the same experiment at the same scale.  A run that
-    cannot be compared - no baseline file, experiment not recorded,
-    scale mismatch, no root span - is ``skipped`` (exit 0) with an
-    explanatory message, so the gate never fails for a missing
-    baseline, only for a measured slowdown.
-    """
-    baseline_path = Path(baseline_path)
-    if not baseline_path.exists():
-        return BaselineVerdict("skipped", [
-            f"no baseline at {baseline_path}; nothing to compare"])
-    try:
-        recorded = json.loads(baseline_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return BaselineVerdict("skipped", [
-            f"unreadable baseline {baseline_path}: {exc}"])
-    experiment = profile.manifest.get("experiment") \
-        or profile.manifest.get("command")
-    if not experiment:
-        return BaselineVerdict("skipped", [
-            "run manifest names no experiment; cannot match a baseline"])
-    seconds = recorded.get("seconds", {})
-    base = seconds.get(experiment)
-    if base is None:
-        return BaselineVerdict("skipped", [
-            f"baseline records no entry for {experiment!r}"])
-    baseline_scale = recorded.get("scale")
-    run_scale = profile.manifest.get("scale")
-    if baseline_scale is not None and run_scale is not None \
-            and baseline_scale != run_scale:
-        return BaselineVerdict("skipped", [
-            f"scale mismatch: run @ {run_scale:g}, baseline @ "
-            f"{baseline_scale:g}; not comparable"])
-    roots = profile.roots
-    if not roots:
-        return BaselineVerdict("skipped", ["journal holds no spans"])
-    duration = max(span["dur"] for span in roots)
-    limit = base * (1.0 + threshold)
-    ratio = duration / base if base > 0 else float("inf")
-    summary = (f"{experiment}: {duration:.2f}s vs baseline "
-               f"{base:.2f}s ({ratio:.2f}x, threshold "
-               f"{1.0 + threshold:.2f}x)")
-    if duration > limit:
-        return BaselineVerdict("regression", [f"REGRESSION {summary}"])
-    return BaselineVerdict("ok", [f"ok {summary}"])

@@ -27,9 +27,9 @@ Every replay is one loop over the trace's chunks - a single chunk for
 an in-RAM :class:`Trace`, one per shard for a
 :class:`~repro.trace.shards.ShardedTrace` - carrying the branch-outcome
 history and the ARPT entry state across chunk boundaries, so the
-result does not depend on how the trace is chunked.
-``evaluate_scheme_scalar`` is the retained record-at-a-time reference
-implementation the equivalence tests pin the fast path against.
+result does not depend on how the trace is chunked.  The equivalence
+tests pin it against a record-at-a-time replay through the live
+:class:`~repro.predictor.arpt.ARPT` (``tests/oracles/scalar.py``).
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ import numpy as np
 
 from repro import metrics
 from repro.obs import spans
-from repro.predictor.arpt import ARPT, PC_SHIFT
-from repro.predictor.contexts import CONTEXT_KINDS, ContextTracker, \
-    context_function
+from repro.predictor.arpt import PC_SHIFT
+from repro.predictor.contexts import CONTEXT_KINDS
 from repro.predictor.hints import CompilerHints
 from repro.predictor.schemes import Scheme, scheme_by_name
-from repro.predictor.static_rules import mode_is_definitive, \
-    static_predicts_stack
 from repro.trace.records import (MODE_CONSTANT, MODE_GLOBAL, MODE_STACK,
                                  OC_BRANCH, REGION_STACK, Trace)
 from repro.trace.shards import iter_chunks
@@ -458,85 +455,6 @@ def evaluate_scheme(trace: Trace, scheme,
         _publish_metrics(result, hints is not None, gbh_bits, cid_bits)
         sp.set("references", result.total)
         return result
-
-
-def evaluate_scheme_scalar(trace: Trace, scheme,
-                           table_size: Optional[int] = None,
-                           hints: Optional[CompilerHints] = None,
-                           gbh_bits: int = 8,
-                           cid_bits: int = 24) -> PredictionResult:
-    """Record-at-a-time reference implementation of
-    :func:`evaluate_scheme`.
-
-    Kept as the ground truth the vectorised replay is tested against
-    (it walks :class:`TraceRecord` objects through the live
-    :class:`ARPT`/:class:`ContextTracker` structures exactly as the
-    hardware would).  Does not publish metrics - use
-    :func:`evaluate_scheme` outside tests.
-    """
-    if isinstance(scheme, str):
-        scheme = scheme_by_name(scheme)
-    _validate_table_size(table_size)
-    tracker = ContextTracker(gbh_bits=gbh_bits, cid_bits=cid_bits)
-    table = ARPT(size=table_size, bits=scheme.bits) if scheme.uses_table \
-        else None
-    get_context = (context_function(tracker, scheme.context)
-                   if scheme.uses_table else None)
-    hint_tags = hints.tags if hints is not None else {}
-
-    total = correct = 0
-    definitive = definitive_correct = 0
-    table_predictions = table_correct = 0
-    hinted = 0
-
-    for record in trace.records:
-        if record.is_branch:
-            tracker.observe_branch(record.taken)
-            continue
-        if not record.is_mem:
-            continue
-        total += 1
-        actual = record.is_stack
-        mode = record.mode
-        if mode_is_definitive(mode):
-            prediction = static_predicts_stack(mode)
-            definitive += 1
-            if prediction == actual:
-                definitive_correct += 1
-                correct += 1
-            continue
-        # Rule-4 (unknown-mode) reference.
-        tag = hint_tags.get(record.pc)
-        if tag is not None:
-            hinted += 1
-            if tag == actual:
-                correct += 1
-            continue
-        if table is None:
-            prediction = False  # static heuristic #4: predict non-stack
-        else:
-            context = get_context(record)
-            prediction = table.predict_and_update(record.pc, context,
-                                                  actual)
-            table_predictions += 1
-            if prediction == actual:
-                table_correct += 1
-        if prediction == actual:
-            correct += 1
-
-    return PredictionResult(
-        scheme=scheme.name,
-        trace_name=trace.name,
-        total=total,
-        correct=correct,
-        definitive=definitive,
-        definitive_correct=definitive_correct,
-        table_predictions=table_predictions,
-        table_correct=table_correct,
-        hinted=hinted,
-        occupancy=table.occupancy if table is not None else 0,
-        table_size=table_size,
-    )
 
 
 def _publish_metrics(result: PredictionResult, hinted_run: bool,

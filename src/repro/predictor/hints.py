@@ -33,9 +33,8 @@ def hints_from_trace(trace: Trace) -> CompilerHints:
     """Build the idealised (profile-derived) compiler hints for a trace.
 
     Uses the vectorised per-PC region grouping over the trace's
-    columnar view; equivalent to streaming the records through
-    :class:`~repro.trace.regions.RegionClassifier` and calling its
-    ``single_region_pcs``.
+    columnar view (:func:`repro.trace.regions.single_region_pcs`): every
+    instruction that touches exactly one region is tagged.
     """
     return CompilerHints(tags=single_region_pcs(trace))
 

@@ -358,64 +358,6 @@ def run_thrash(address: Address, names: Sequence[str] = ("db_vortex",),
     return _write_report(report, out)
 
 
-def history_entry(report: dict) -> dict:
-    """One ``history.jsonl`` trend line for a load report.
-
-    Shares the journal (and the ``tools/bench_trend.py`` rendering)
-    with ``tools/bench_speed.py``: the ``experiments`` mapping holds
-    this run's trendable numbers, keyed ``serve.<op>.<metric>`` so
-    serving latencies and batch experiment seconds stay distinct
-    columns in the same table.
-    """
-    if report.get("scenario") == "thrash":
-        numbers = {
-            "serve.thrash.baseline_qps":
-                (report.get("baseline") or {}).get("qps"),
-            "serve.thrash.cheap_qps":
-                (report.get("thrash") or {}).get("cheap_qps"),
-            "serve.thrash.cheap_qps_ratio":
-                report.get("cheap_qps_ratio"),
-        }
-    else:
-        latency = report.get("latency_ms") or {}
-        op = report.get("op", "?")
-        numbers = {f"serve.{op}.qps": report.get("qps")}
-        for percentile in ("p50", "p95", "p99"):
-            if percentile in latency:
-                numbers[f"serve.{op}.{percentile}_ms"] = \
-                    latency[percentile]
-    return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": _git_sha(),
-        "kind": "serve",
-        "scale": (report.get("params") or {}).get("scale"),
-        "clients": report.get("clients",
-                              report.get("cheap_clients")),
-        "count": report.get("count"),
-        "experiments": {key: value for key, value in numbers.items()
-                        if isinstance(value, (int, float))},
-    }
-
-
-def _git_sha() -> str:
-    try:
-        from repro.obs.manifest import git_revision
-        sha = git_revision()
-    except ImportError:
-        sha = None
-    return sha or "unknown"
-
-
-def append_history(report: dict, path: Union[str, Path]) -> Path:
-    """Append the report's trend line to the (append-only) journal."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(history_entry(report), sort_keys=True)
-                 + "\n")
-    return path
-
-
 def render_report(report: dict) -> str:
     """A one-screen human summary of a load report."""
     if report.get("scenario") == "thrash":

@@ -15,9 +15,8 @@ the configuration's ``telemetry_max_bytes``, 4 MiB) it rotates to a single
 segments of the newest samples and never fills the disk.
 
 Each stored sample carries the derived per-interval rates (``qps``,
-``errors_per_s``) computed from the previous sample's counters -
-consumers (``repro top``, ``tools/bench_trend.py --telemetry``) read
-rates directly instead of re-deriving deltas.
+``errors_per_s``) computed from the previous sample's counters, so
+consumers read rates directly instead of re-deriving deltas.
 
 The snapshot *source* is a callable so the recorder is decoupled from
 the server (tests feed synthetic snapshots); ``repro serve`` wires it

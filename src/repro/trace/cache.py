@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +66,7 @@ except ImportError:          # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro import config, quarantine
+from repro.obs import spans
 from repro.testing import faults as fault_injection
 from repro.trace import serialize, shards
 from repro.trace.records import Trace
@@ -105,21 +105,19 @@ def _entry_size(path: Path) -> int:
 
 @dataclass
 class CacheStats:
-    """Counters and per-stage wall-clock for one cache instance."""
+    """Counters for one cache instance (its time is in the span
+    journal: ``trace:fetch`` and ``trace:produce``)."""
 
     hits: int = 0
     misses: int = 0
     corrupt: int = 0            # entries quarantined as unreadable
     lock_waits: int = 0         # stores that waited on another writer
-    load_seconds: float = 0.0   # reading archived traces (incl. saves)
-    sim_seconds: float = 0.0    # running the producer (functional sim)
     quarantine_gc: int = 0      # expired quarantined files collected
     evictions: int = 0          # whole entries evicted by the LRU bound
 
     def snapshot(self) -> "CacheStats":
         return CacheStats(self.hits, self.misses, self.corrupt,
-                          self.lock_waits, self.load_seconds,
-                          self.sim_seconds, self.quarantine_gc,
+                          self.lock_waits, self.quarantine_gc,
                           self.evictions)
 
 
@@ -157,7 +155,6 @@ class TraceCache:
         path = self.path_for(name, scale)
         if not path.exists():
             return None
-        started = time.perf_counter()
         try:
             trace = load_trace(path)
         except Exception:
@@ -165,7 +162,6 @@ class TraceCache:
             # wrong-version file: move it aside and treat as a miss.
             self._quarantine(path)
             return None
-        self.stats.load_seconds += time.perf_counter() - started
         self._touch(path)
         return trace
 
@@ -237,13 +233,11 @@ class TraceCache:
 
     def store(self, name: str, scale: float, trace: Trace) -> Path:
         """Archive a trace atomically; returns the final path."""
-        started = time.perf_counter()
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name, scale)
         with self._entry_lock(path), self._staging(path) as tmp:
             save_trace(trace, tmp)
             self._publish(name, tmp, path)
-        self.stats.load_seconds += time.perf_counter() - started
         self.enforce_size_bound(keep=path)
         return path
 
@@ -257,9 +251,10 @@ class TraceCache:
         entry's writer lock is taken, and if another process wrote the
         entry while we waited its archive is loaded instead of
         producing a second time.  Otherwise ``produce(tmp)`` builds the
-        entry (timed as simulation), ``save(entry, tmp)`` finishes the
-        staged file or directory, and it is published atomically.
-        Returns ``(entry, produced)``.
+        entry (in a ``trace:produce`` span, so a cold run's journal
+        separates functional simulation from cache I/O),
+        ``save(entry, tmp)`` finishes the staged file or directory, and
+        it is published atomically.  Returns ``(entry, produced)``.
         """
         entry = load()
         if entry is not None:
@@ -272,14 +267,11 @@ class TraceCache:
                 self.stats.hits += 1
                 return entry, False
             with self._staging(path) as tmp:
-                started = time.perf_counter()
-                entry = produce(tmp)
-                self.stats.sim_seconds += time.perf_counter() - started
+                with spans.span("trace:produce", workload=name):
+                    entry = produce(tmp)
                 self.stats.misses += 1
-                started = time.perf_counter()
                 save(entry, tmp)
                 self._publish(name, tmp, path)
-                self.stats.load_seconds += time.perf_counter() - started
         self.enforce_size_bound(keep=path)
         return entry, True
 
@@ -337,11 +329,9 @@ class TraceCache:
                      shard_rows: int) -> Optional[ShardedTrace]:
         """The archived shard set, or None on a miss."""
         path = self.sharded_path_for(name, scale, shard_rows)
-        started = time.perf_counter()
         trace = self._open_sharded(path, name, shard_rows)
         if trace is None:
             return None
-        self.stats.load_seconds += time.perf_counter() - started
         self._touch(path / shards.MANIFEST_NAME)
         self._touch(path)
         return trace

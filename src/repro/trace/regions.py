@@ -10,12 +10,10 @@ classes are tiny (1.8-1.9% of static instructions on average).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.trace.records import (REGION_DATA, REGION_HEAP, REGION_STACK,
-                                 TraceRecord)
 from repro.trace.shards import iter_chunks
 
 #: Canonical class labels in the paper's presentation order.
@@ -30,8 +28,6 @@ _CLASS_OF_MASK = {
     0b110: "H/S",
     0b111: "D/H/S",
 }
-
-_BIT_OF_REGION = {REGION_DATA: 0b001, REGION_HEAP: 0b010, REGION_STACK: 0b100}
 
 MULTI_REGION_CLASSES = ("D/H", "D/S", "H/S", "D/H/S")
 
@@ -73,70 +69,15 @@ class RegionBreakdown:
         return self.static_fraction("S")
 
 
-class RegionClassifier:
-    """Streams trace records and accumulates the per-PC region sets."""
-
-    def __init__(self) -> None:
-        self._region_mask: Dict[int, int] = {}   # pc -> region bit mask
-        self._dynamic: Dict[int, int] = {}       # pc -> dynamic ref count
-
-    def observe(self, record: TraceRecord) -> None:
-        if record.region < 0:
-            return
-        bit = _BIT_OF_REGION[record.region]
-        pc = record.pc
-        self._region_mask[pc] = self._region_mask.get(pc, 0) | bit
-        self._dynamic[pc] = self._dynamic.get(pc, 0) + 1
-
-    def observe_trace(self, trace: Iterable[TraceRecord]) -> None:
-        masks = self._region_mask
-        dyn = self._dynamic
-        for record in trace:
-            if record.region < 0:
-                continue
-            bit = _BIT_OF_REGION[record.region]
-            pc = record.pc
-            masks[pc] = masks.get(pc, 0) | bit
-            dyn[pc] = dyn.get(pc, 0) + 1
-
-    def class_of_pc(self, pc: int) -> str:
-        return _CLASS_OF_MASK[self._region_mask[pc]]
-
-    def breakdown(self, name: str = "") -> RegionBreakdown:
-        static_counts = {cls: 0 for cls in REGION_CLASSES}
-        dynamic_counts = {cls: 0 for cls in REGION_CLASSES}
-        for pc, mask in self._region_mask.items():
-            cls = _CLASS_OF_MASK[mask]
-            static_counts[cls] += 1
-            dynamic_counts[cls] += self._dynamic[pc]
-        return RegionBreakdown(name=name, static_counts=static_counts,
-                               dynamic_counts=dynamic_counts)
-
-    def single_region_pcs(self) -> Dict[int, bool]:
-        """PC -> is_stack for instructions that touch exactly one region.
-
-        This is the paper's idealised *compiler hint* information
-        (Section 3.5.2): an instruction the profile shows to access a
-        single region is assumed classifiable by the compiler.
-        """
-        result: Dict[int, bool] = {}
-        for pc, mask in self._region_mask.items():
-            if mask in (0b001, 0b010):
-                result[pc] = False
-            elif mask == 0b100:
-                result[pc] = True
-        return result
-
-
 def pc_region_partial(columns) -> Tuple[np.ndarray, np.ndarray,
                                         np.ndarray]:
     """Per-static-PC region bitmasks for one columnar chunk.
 
     Returns ``(pcs, masks, dynamic)``: the distinct memory-instruction
-    PCs (sorted), each PC's OR of region bits (1=data, 2=heap, 4=stack
-    - the same encoding as ``_BIT_OF_REGION``), and each PC's dynamic
-    reference count.  One sort + two grouped reductions replace the
-    scalar classifier's per-record dict updates.  This is also the
+    PCs (sorted), each PC's OR of region bits (``1 << region``:
+    1=data, 2=heap, 4=stack - the keys of the class table), and each
+    PC's dynamic reference count.  One sort + two grouped reductions
+    replace a per-record dict update.  This is also the
     shard-local partial of the streaming/fan-out Figure 2 path: masks
     OR and dynamic counts sum across shards (exact integers, any
     order), so folding per-shard partials is byte-identical to one
@@ -216,10 +157,9 @@ def breakdown_from_partial(name: str, masks: np.ndarray,
 def region_breakdown(trace) -> RegionBreakdown:
     """One-shot Figure-2 breakdown of a trace (vectorised).
 
-    Equivalent to streaming the trace through
-    :class:`RegionClassifier` (the retained scalar reference) but
-    computed with grouped NumPy reductions, folded chunk by chunk over
-    a :class:`Trace` or a :class:`~repro.trace.shards.ShardedTrace`.
+    Computed with grouped NumPy reductions, folded chunk by chunk over
+    a :class:`Trace` or a :class:`~repro.trace.shards.ShardedTrace`
+    (the tests pin it against a record-at-a-time classifier).
     """
     _, masks, dynamic = _pc_region_masks(trace)
     return breakdown_from_partial(trace.name, masks, dynamic)
@@ -228,10 +168,11 @@ def region_breakdown(trace) -> RegionBreakdown:
 def single_region_pcs(trace) -> Dict[int, bool]:
     """PC -> is_stack for single-region instructions (vectorised).
 
-    Columnar counterpart of
-    :meth:`RegionClassifier.single_region_pcs`, feeding the idealised
-    compiler-hint scheme without materialising records.  Folds over
-    chunks like :func:`region_breakdown`.
+    This is the paper's idealised *compiler hint* information
+    (Section 3.5.2): an instruction the profile shows to access a
+    single region is assumed classifiable by the compiler.  Feeds the
+    hint scheme without materialising records; folds over chunks like
+    :func:`region_breakdown`.
     """
     pcs, masks, _ = _pc_region_masks(trace)
     single = (masks == 0b001) | (masks == 0b010) | (masks == 0b100)

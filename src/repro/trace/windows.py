@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.trace.records import (REGION_DATA, REGION_HEAP, REGION_STACK,
-                                 TraceRecord)
+from repro.trace.records import REGION_DATA, REGION_HEAP, REGION_STACK
 from repro.trace.shards import iter_chunks
 
 REGION_NAMES = {REGION_DATA: "data", REGION_HEAP: "heap",
@@ -49,65 +48,6 @@ class RegionWindowStats:
     stack: WindowStats
 
 
-class SlidingWindowProfiler:
-    """O(N) streaming computation of the per-region window statistics."""
-
-    def __init__(self, window: int) -> None:
-        if window <= 0:
-            raise ValueError("window size must be positive")
-        self.window = window
-        # Ring buffer of region codes (-1 for non-memory instructions).
-        self._ring = [-1] * window
-        self._fill = 0
-        self._pos = 0
-        self._counts = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._sums = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._sumsq = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._samples = 0
-
-    def observe(self, record: TraceRecord) -> None:
-        ring = self._ring
-        window = self.window
-        counts = self._counts
-        if self._fill == window:
-            old = ring[self._pos]
-            if old >= 0:
-                counts[old] -= 1
-        else:
-            self._fill += 1
-        region = record.region if record.is_mem else -1
-        ring[self._pos] = region
-        if region >= 0:
-            counts[region] += 1
-        self._pos = (self._pos + 1) % window
-        if self._fill == window:
-            self._samples += 1
-            for code in (REGION_DATA, REGION_HEAP, REGION_STACK):
-                count = counts[code]
-                self._sums[code] += count
-                self._sumsq[code] += count * count
-
-    def observe_trace(self, records: Iterable[TraceRecord]) -> None:
-        for record in records:
-            self.observe(record)
-
-    def _stats(self, code: int) -> WindowStats:
-        n = self._samples
-        if n == 0:
-            return WindowStats(mean=0.0, std=0.0, samples=0)
-        mean = self._sums[code] / n
-        variance = max(0.0, self._sumsq[code] / n - mean * mean)
-        return WindowStats(mean=mean, std=math.sqrt(variance), samples=n)
-
-    def result(self, name: str = "") -> RegionWindowStats:
-        return RegionWindowStats(
-            name=name, window=self.window,
-            data=self._stats(REGION_DATA),
-            heap=self._stats(REGION_HEAP),
-            stack=self._stats(REGION_STACK),
-        )
-
-
 def _mapped_region(columns) -> np.ndarray:
     """Region codes with non-memory rows mapped to -1 (int64)."""
     return np.where(columns.memory_mask(), columns.region,
@@ -122,8 +62,7 @@ def _moments_of_ext(ext: np.ndarray, window: int)\
     indicator array ``x``, the count of region references in the window
     ending at instruction ``i`` (i >= window-1) is
     ``csum[i+1] - csum[i+1-window]``.  Exact integer arithmetic, so the
-    moments match :class:`SlidingWindowProfiler` (the retained scalar
-    reference) bit for bit.
+    moments match a record-at-a-time ring-buffer profiler bit for bit.
     """
     samples = max(0, len(ext) - window + 1)
     sums: Dict[int, int] = {}
@@ -236,9 +175,8 @@ def window_stats(trace, window: int) -> RegionWindowStats:
     arrays) as one :func:`window_shard_partial` per chunk of a
     :class:`~repro.trace.records.Trace` (a single chunk) or a
     :class:`~repro.trace.shards.ShardedTrace`, folded by
-    :func:`combine_window_partials`;
-    :class:`SlidingWindowProfiler` is the scalar reference it is
-    tested against.
+    :func:`combine_window_partials` (the tests pin it against a
+    record-at-a-time ring-buffer profiler).
 
     When metrics collection is enabled, publishes one
     ``trace.window<W>.<region>`` time-series per region carrying the

@@ -29,7 +29,6 @@ NAMES = ("db_vortex", "go_ai")
 def _clean(monkeypatch):
     monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
     monkeypatch.delenv(trace_cache.ENV_VAR, raising=False)
-    engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()
     yield
@@ -42,7 +41,6 @@ def _clean(monkeypatch):
 def _figure4_run(jobs, spec=None):
     """One metered figure4 run; returns (render, export-json, snap)."""
     suite.clear_caches()
-    engine.reset_stage_times()
     engine.reset_fault_stats()
     metrics.enable()
     try:

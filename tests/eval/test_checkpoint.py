@@ -38,7 +38,6 @@ def _logging_cell(name, scale):
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
     monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
-    engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()
     yield
@@ -68,13 +67,11 @@ class TestCellKey:
 class TestJournal:
     def test_roundtrip(self, tmp_path):
         journal = CellJournal(tmp_path)
-        times = engine.StageTimes(replay=1.5, cells=1)
-        journal.record(_cell, "w", 0.5, (), "result", times, {"a": 1})
+        journal.record(_cell, "w", 0.5, (), "result", {"a": 1})
         loaded = journal.load(_cell, "w", 0.5, ())
         assert loaded is not None
-        result, loaded_times, snapshot = loaded
+        result, snapshot = loaded
         assert result == "result"
-        assert loaded_times.replay == 1.5
         assert snapshot == {"a": 1}
         assert journal.stats.hits == 1
         assert len(journal) == 1
@@ -92,8 +89,7 @@ class TestJournal:
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         journal = CellJournal(tmp_path)
-        path = journal.record(_cell, "w", 0.5, (), "r",
-                              engine.StageTimes(), None)
+        path = journal.record(_cell, "w", 0.5, (), "r", None)
         path.write_bytes(b"\x80garbage, not a pickle")
         assert journal.load(_cell, "w", 0.5, ()) is None
         assert journal.stats.corrupt == 1
@@ -104,8 +100,7 @@ class TestJournal:
         # A valid pickle recorded under the wrong filename must not be
         # served: the embedded key is checked against the requested one.
         journal = CellJournal(tmp_path)
-        recorded = journal.record(_cell, "w", 0.5, (), "r",
-                                  engine.StageTimes(), None)
+        recorded = journal.record(_cell, "w", 0.5, (), "r", None)
         alias = journal.path_for(cell_key(_cell, "other", 0.5, ()))
         alias.write_bytes(recorded.read_bytes())
         assert journal.load(_cell, "other", 0.5, ()) is None
@@ -113,8 +108,7 @@ class TestJournal:
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         journal = CellJournal(tmp_path)
-        path = journal.record(_cell, "w", 0.5, (), "r",
-                              engine.StageTimes(), None)
+        path = journal.record(_cell, "w", 0.5, (), "r", None)
         payload = pickle.loads(path.read_bytes())
         payload["version"] = checkpoint.FORMAT_VERSION + 1
         path.write_bytes(pickle.dumps(payload))
@@ -155,18 +149,15 @@ class TestResume:
             assert journal.stats.hits == 3
             assert _EXECUTIONS == list(NAMES)   # no cell ran again
 
-    def test_replay_restores_metrics_and_stage_times(self, tmp_path):
+    def test_replay_restores_metrics(self, tmp_path):
         with config.override(checkpoint=tmp_path):
             metrics.enable()
             engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
             first = engine.take_metrics()
-            first_cells = engine.stage_times().cells
 
-            engine.reset_stage_times()
             engine.run_cells(_metric_cell, NAMES, 1.0, jobs=1)
             replayed = engine.take_metrics()
             assert replayed == first
-            assert engine.stage_times().cells == first_cells
 
     def test_different_args_never_match(self, tmp_path):
         with config.override(checkpoint=tmp_path):
@@ -202,7 +193,7 @@ class TestDiskQuota:
         journal = CellJournal(tmp_path)
         assert journal.max_bytes == 0
         for index in range(5):
-            journal.record(_cell, f"w{index}", 1.0, (), "r", {}, None)
+            journal.record(_cell, f"w{index}", 1.0, (), "r", None)
         assert len(journal) == 5
         assert journal.stats.quota_evictions == 0
 
@@ -221,20 +212,20 @@ class TestDiskQuota:
         journal = CellJournal(tmp_path, max_bytes=1)
         for index in range(3):
             journal.record(_cell, f"w{index}", 1.0, (),
-                           f"r{index}", {}, None)
+                           f"r{index}", None)
         assert len(journal) == 1
         assert journal.stats.quota_evictions == 2
         quarantined = list(tmp_path.glob("*.quarantined"))
         assert len(quarantined) == 2
         # The survivor is the newest record, still replayable.
-        assert journal.load(_cell, "w2", 1.0, ()) == ("r2", {}, None)
+        assert journal.load(_cell, "w2", 1.0, ()) == ("r2", None)
         # Rotated cells read as plain misses (they re-run on resume).
         assert journal.load(_cell, "w0", 1.0, ()) is None
 
     def test_quota_large_enough_keeps_everything(self, tmp_path):
         journal = CellJournal(tmp_path, max_bytes=1 << 20)
         for index in range(4):
-            journal.record(_cell, f"w{index}", 1.0, (), "r", {}, None)
+            journal.record(_cell, f"w{index}", 1.0, (), "r", None)
         assert len(journal) == 4
         assert journal.stats.quota_evictions == 0
 
@@ -247,7 +238,7 @@ class TestDiskQuota:
     def test_rotated_entries_are_quarantine_collectable(self, tmp_path):
         journal = CellJournal(tmp_path, max_bytes=1)
         for index in range(3):
-            journal.record(_cell, f"w{index}", 1.0, (), "r", {}, None)
+            journal.record(_cell, f"w{index}", 1.0, (), "r", None)
         # Age bound 0 clears every quarantined file on the next open.
         with config.override(quarantine_max_age_days=0):
             reopened = CellJournal(tmp_path)

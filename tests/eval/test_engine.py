@@ -1,4 +1,4 @@
-"""Tests for the experiment execution engine (fan-out + stage timing).
+"""Tests for the experiment execution engine (fan-out + stage report).
 
 The load-bearing property is equivalence: every experiment table must be
 byte-identical whether the trace cache is disabled, cold, or warm, and
@@ -8,7 +8,11 @@ at any ``--jobs`` level.
 import pytest
 
 from repro import config
+from repro.cli import main
 from repro.eval import engine, figure4
+from repro.obs import manifest as run_manifest
+from repro.obs import profile as obs_profile
+from repro.obs import spans
 from repro.trace import cache as trace_cache
 from repro.workloads import suite
 
@@ -20,10 +24,22 @@ NAMES = ("db_vortex", "go_ai")
 def _clean_state(monkeypatch):
     monkeypatch.delenv(trace_cache.ENV_VAR, raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    engine.reset_stage_times()
     yield
-    engine.reset_stage_times()
     suite.clear_caches()
+
+
+def _journal(directory, fn, *args, **kwargs):
+    """Run ``fn`` with spans journalled into ``directory``; the run."""
+    spans.enable(directory)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        spans.disable()
+    return obs_profile.load_run(directory)
+
+
+def _named(run, name):
+    return [span for span in run.spans if span["name"] == name]
 
 
 def _cell(name, scale):
@@ -49,9 +65,12 @@ class TestRunCells:
             _flaky_order_cell, ("b", "a", "c"), 1.0, delays, jobs=3)
         assert results == ["b", "a", "c"]
 
-    def test_cell_count_accumulates(self):
-        engine.run_cells(_cell, ("x", "y"), 1.0, jobs=1)
-        assert engine.stage_times().cells == 2
+    def test_cell_count_accumulates(self, tmp_path):
+        run = _journal(tmp_path, engine.run_cells, _cell, ("x", "y"),
+                       1.0, jobs=1)
+        assert len(_named(run, "cell")) == 2
+        report = obs_profile.render_stage_report(run)
+        assert report.startswith("Stage timing: 2 cells")
 
 
 class TestJobs:
@@ -144,29 +163,25 @@ class TestWorkerConfig:
         assert json.loads(completed.stdout) == [None, None]
 
 
-class TestStageTimes:
-    def test_merge(self):
-        a = engine.StageTimes(functional_sim=1.0, replay=2.0, cells=1)
-        a.merge(engine.StageTimes(functional_sim=0.5, cache_io=0.25,
-                                  cells=2, cache_hits=3))
-        assert a.functional_sim == 1.5
-        assert a.cache_io == 0.25
-        assert a.cells == 3
-        assert a.cache_hits == 3
-        assert a.total == 1.5 + 0.25 + 2.0
-
+class TestStageReport:
     def test_render_mentions_cache_state(self, tmp_path):
-        with config.override(trace_cache=tmp_path):
-            text = engine.StageTimes(cells=2).render()
-        assert str(tmp_path) in text
-        with config.override(trace_cache=None):
-            assert "off" in engine.StageTimes().render()
+        # The cache directory comes from the manifest's resolved config.
+        for cache in (tmp_path / "cache", None):
+            with config.override(trace_cache=cache):
+                run_manifest.write_manifest(
+                    tmp_path, run_manifest.build_manifest("r", "figure2"))
+            run = obs_profile.RunProfile(
+                source=tmp_path,
+                manifest=run_manifest.load_manifest(tmp_path))
+            header = obs_profile.render_stage_report(run).splitlines()[0]
+            assert f"trace cache {cache or 'off'} " in header
 
 
 class TestTraceFor:
     """Trace acquisition through the one accessor, ``open_trace``."""
 
-    def test_column_backed_trace_costs_no_cache_io(self, monkeypatch):
+    def test_column_backed_trace_costs_no_cache_io(self, monkeypatch,
+                                                   tmp_path):
         from repro.trace.columns import ColumnarTrace
         from repro.trace.records import Trace
 
@@ -175,22 +190,31 @@ class TestTraceFor:
         stub_run.cache_clear = lambda: None  # clear_caches() compatibility
         stub_run.evict = lambda name, scale: False   # open_trace's exit
         monkeypatch.setattr(suite, "run", stub_run)
-        with engine.open_trace("stub", 1.0):
-            pass
-        assert engine.stage_times().cache_io == 0.0
+
+        def fetch():
+            with engine.open_trace("stub", 1.0):
+                pass
+        run = _journal(tmp_path, fetch)
+        assert {span["name"] for span in run.spans} == {"trace:fetch"}
+        assert _named(run, "trace:fetch")[0]["attrs"]["cache"] == "off"
 
     def test_warm_cache_skips_functional_sim(self, tmp_path):
-        with config.override(trace_cache=tmp_path):
-            with engine.open_trace(NAMES[0], SCALE):
-                pass                   # exit evicts: next call hits disk
-            engine.reset_stage_times()
+        traces = []
+
+        def fetch():
             with engine.open_trace(NAMES[0], SCALE) as trace:
-                pass
-        times = engine.stage_times()
-        assert times.functional_sim == 0.0
-        assert times.cache_hits == 1
-        assert times.cache_io > 0.0
-        assert len(trace) > 0
+                traces.append(trace)
+        with config.override(trace_cache=tmp_path / "cache"):
+            cold = _journal(tmp_path / "cold", fetch)
+            warm = _journal(tmp_path / "warm", fetch)
+        assert [span["attrs"]["cache"]
+                for span in _named(cold, "trace:fetch")] == ["miss"]
+        assert len(_named(cold, "trace:produce")) == 1
+        # Exit evicted the memo, so the warm fetch read the archive.
+        assert [span["attrs"]["cache"]
+                for span in _named(warm, "trace:fetch")] == ["hit"]
+        assert not _named(warm, "trace:produce")
+        assert len(traces[1]) > 0
 
 
 @pytest.mark.slow
@@ -199,15 +223,14 @@ class TestEquivalence:
         disabled = figure4(SCALE, NAMES).render()
         with config.override(trace_cache=tmp_path):
             cold = figure4(SCALE, NAMES).render()
-            assert trace_cache.active_cache().stats.misses == len(NAMES)
-            engine.reset_stage_times()
+            stats = trace_cache.active_cache().stats
+            assert stats.misses == len(NAMES)
             warm = figure4(SCALE, NAMES).render()
+            # The warm pass never ran the functional simulator.
+            assert stats.misses == len(NAMES)
+            assert stats.hits == len(NAMES)
         assert cold == disabled
         assert warm == disabled
-        # The warm pass never ran the functional simulator.
-        times = engine.stage_times()
-        assert times.functional_sim == 0.0
-        assert times.cache_hits == len(NAMES)
 
     def test_jobs_levels_identical(self, tmp_path):
         with config.override(trace_cache=tmp_path):
@@ -216,22 +239,50 @@ class TestEquivalence:
         assert parallel == serial
 
 
+def _span(name, span_id, parent, start, **attrs):
+    return {"name": name, "id": span_id, "parent": parent, "pid": 1,
+            "tid": 1, "start": start, "dur": 0.5, "attrs": attrs}
+
+
 class TestCellNotes:
-    def test_verbose_report_aligns_per_cell_lines(self):
-        engine._note_cell("db_vortex", hits=2, misses=1)
-        engine._note_cell("go_ai", replays=1)
-        engine._note_cell("db_vortex", replays=1)
-        report = engine.render_stage_report()
-        lines = [line for line in report.splitlines()
-                 if "cache" in line and "replays" in line]
-        # One aligned line per cell, in submission order, accumulating
-        # across repeated notes for the same cell.
-        assert lines == [
-            "  db_vortex  cache 2 hit / 1 miss  replays 1",
-            "  go_ai      cache 0 hit / 0 miss  replays 1",
+    def test_verbose_report_aligns_per_cell_lines(self, tmp_path):
+        # A sharded run's journal: a produce pass, then shard cells
+        # (``name#i``) finishing out of order, then a replayed cell.
+        journal = [
+            _span("engine:run_cells", "r1", None, 1.0),
+            _span("cell", "c1", "r1", 1.2, workload="db_vortex",
+                  index=0),
+            _span("trace:fetch", "f1", "c1", 1.3, workload="db_vortex",
+                  cache="corrupt"),
+            _span("cell", "c2", "r1", 1.1, workload="go_ai", index=1),
+            _span("trace:fetch", "f2", "c2", 1.2, workload="go_ai",
+                  cache="hit"),
+            _span("engine:run_cells", "r2", None, 2.0),
+            _span("cell", "c3", "r2", 2.1, workload="go_ai#0", index=2),
+            _span("cell", "c4", "r2", 2.2, workload="db_vortex#0",
+                  index=0, error="InjectedFault"),
+            _span("checkpoint:replay", "p1", "r2", 2.3,
+                  workload="db_vortex#1", index=1, hit=True),
+        ]
+        run = obs_profile.RunProfile(source=tmp_path, spans=journal)
+        report = obs_profile.render_stage_report(run).splitlines()
+        assert report[0] == ("Stage timing: 2 cells, trace cache off "
+                             "(1 hits / 1 misses, 1 corrupt)")
+        # One aligned line per workload in submission order (not start
+        # order), folding shard cells and replays into it.
+        assert report[report.index("per-cell:") + 1:] == [
+            "  db_vortex  cache 0 hit / 1 miss  replays 1",
+            "  go_ai      cache 1 hit / 0 miss  replays 0",
         ]
 
-    def test_reset_clears_cell_notes(self):
-        engine._note_cell("db_vortex", hits=1)
-        engine.reset_stage_times()
-        assert "per-cell:" not in engine.render_stage_report()
+    def test_reset_clears_cell_notes(self, tmp_path, capsys):
+        # Two --verbose runs journal into one directory; the second
+        # report counts only its own cells.
+        argv = ["table1", "--scale", "0.02", "--trace-spans",
+                str(tmp_path), "--verbose"]
+        assert main(argv + ["db_vortex", "go_ai"]) == 0
+        assert "Stage timing: 2 cells" in capsys.readouterr().err
+        assert main(argv + ["db_vortex"]) == 0
+        report = capsys.readouterr().err
+        assert "Stage timing: 1 cells" in report
+        assert "go_ai" not in report

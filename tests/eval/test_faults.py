@@ -7,11 +7,13 @@ and backoff sleeps are observed through the injectable
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import config
 from repro.eval import engine, faults
+from repro.obs import profile as obs_profile
 from repro.eval.faults import CellFailure, CellTimeout, RetryPolicy
 from repro.testing import faults as fi
 
@@ -30,11 +32,17 @@ def _instant() -> RetryPolicy:
 
 @pytest.fixture(autouse=True)
 def _clean():
-    engine.reset_stage_times()
     engine.reset_fault_stats()
     engine.take_metrics()
     yield
     engine.reset_fault_stats()
+
+
+def _report() -> str:
+    """The stage report of an empty journal plus this run's counters."""
+    return obs_profile.render_stage_report(
+        obs_profile.RunProfile(source=Path()),
+        resilience=engine.resilience_snapshot())
 
 
 class TestRetryPolicy:
@@ -102,7 +110,7 @@ class TestSerialRetry:
         engine.run_cells(_ok_cell, NAMES, 1.0, jobs=1)
         snap = engine.resilience_snapshot()
         assert all(value == 0 for value in snap.values())
-        assert "resilience" not in engine.render_stage_report()
+        assert "resilience" not in _report()
 
 
 class TestPoolRecovery:
@@ -113,7 +121,7 @@ class TestPoolRecovery:
             snap = engine.resilience_snapshot()
             assert snap["engine.pool_rebuilds"] >= 1
             assert snap["engine.retries"] >= 1
-            assert "resilience" in engine.render_stage_report()
+            assert "resilience" in _report()
 
     def test_persistent_crashes_degrade_to_serial(self):
         # Workers die on every attempt; the rebuild budget is zero, so

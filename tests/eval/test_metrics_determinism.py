@@ -115,8 +115,7 @@ class TestExperimentResult:
         assert result.experiment == "table1"
         assert result.headers[0] == "Benchmark"
         assert result.rows[0][0] == "db_vortex"
-        assert result.stage_times is not None
-        assert result.stage_times.cells >= 1
+        assert result.data is not None
 
     def test_render_matches_payload_render(self):
         result = table1(SCALE, ("db_vortex",), jobs=1)

@@ -14,8 +14,11 @@ import pytest
 
 from repro import config, metrics
 from repro.api import session as api_session
+from repro.cli import main
 from repro.eval import engine, experiments
 from repro.metrics import export
+from repro.obs import profile as obs_profile
+from repro.obs import spans
 from repro.trace import cache as trace_cache
 from repro.trace import shards
 from repro.workloads import suite
@@ -38,7 +41,6 @@ def _clean_state():
 
 def _run_drivers(cache_dir, shard_rows, jobs):
     """Tables + collected per-cell metrics for every driver."""
-    engine.reset_stage_times()
     out = {}
     metrics.enable()
     try:
@@ -163,11 +165,20 @@ class TestFanOutResilience:
         # read shards from, each workload is one cell folding the same
         # (partial, fold) pair over its handle's chunks in order.
         for shard_rows, cache in ((0, tmp_path), (500, None)):
+            journal = tmp_path / f"spans-{shard_rows}"
             with config.override(trace_cache=cache, shard_rows=shard_rows):
-                engine.reset_stage_times()
-                results = engine.run_cells_sharded(
-                    _count_partial, _count_fold, NAMES, SCALE, jobs=1)
-                assert engine.stage_times().cells == len(NAMES)
+                spans.enable(journal)
+                try:
+                    results = engine.run_cells_sharded(
+                        _count_partial, _count_fold, NAMES, SCALE,
+                        jobs=1)
+                finally:
+                    spans.disable()
+                cells = [span for span
+                         in obs_profile.load_run(journal).spans
+                         if span["name"] == "cell"]
+                assert [cell["attrs"]["workload"] for cell in cells] \
+                    == list(NAMES)
                 for (name, partials), expected in zip(results, NAMES):
                     assert name == expected
                     assert [index for index, _ in partials] \
@@ -189,29 +200,45 @@ class TestFanOutResilience:
             assert "trace.cache.evictions" in snap
 
 
-def _stage_report(cache_dir, shard_rows):
+    def test_resilience_identical_across_jobs(self, tmp_path):
+        # Shard loads happen in pool workers at --jobs 2; their counter
+        # deltas must reach the parent's resilience snapshot.
+        with config.override(trace_cache=tmp_path, shard_rows=4096):
+            experiments.figure2(scale=0.05, names=NAMES, jobs=1)  # warm
+            snaps = []
+            for jobs in (1, 2):
+                engine.reset_fault_stats()
+                experiments.figure2(scale=0.05, names=NAMES, jobs=jobs)
+                snaps.append(engine.resilience_snapshot())
+        assert snaps[0]["trace.shards.loaded"] > 0
+        assert snaps[1] == snaps[0]
+
+
+def _stage_report(cache_dir, shard_rows, capsys):
     """Warm-cache figure2 stage report: (title line, per-cell lines)."""
-    with config.override(trace_cache=cache_dir, shard_rows=shard_rows):
-        experiments.figure2(scale=SCALE, names=NAMES, jobs=1)   # warm up
-        engine.reset_stage_times()
-        engine.reset_fault_stats()
-        experiments.figure2(scale=SCALE, names=NAMES, jobs=1)
-        lines = engine.render_stage_report().splitlines()
-        per_cell = lines[lines.index("per-cell:") + 1:]
-        per_cell = [line for line in per_cell
-                    if not line.startswith("resilience:")]
-        return lines[0], per_cell
+    argv = ["figure2", "--scale", str(SCALE), *NAMES, "--trace-cache",
+            str(cache_dir), "--shard-rows", str(shard_rows), "--verbose"]
+    assert main(argv) == 0                      # warm up
+    suite.clear_caches()
+    capsys.readouterr()
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    per_cell = lines[lines.index("per-cell:") + 1:]
+    per_cell = [line for line in per_cell
+                if not line.startswith("resilience:")]
+    return lines[0], per_cell
 
 
 class TestFanOutStageReport:
-    def test_sharded_report_matches_unsharded(self, tmp_path):
+    def test_sharded_report_matches_unsharded(self, tmp_path, capsys):
         # The shard and combine cells are parts of their workload's
         # cell: they must not add cells or count their manifest opens
         # as trace-cache hits.
-        title, per_cell = _stage_report(tmp_path, 0)
-        sharded_title, sharded_per_cell = _stage_report(tmp_path, 1000)
+        title, per_cell = _stage_report(tmp_path, 0, capsys)
+        sharded_title, sharded_per_cell = _stage_report(tmp_path, 1000,
+                                                        capsys)
         assert f"{len(NAMES)} cells" in title
-        assert f"({len(NAMES)} hits / 0 misses)" in title
+        assert f"({len(NAMES)} hits / 0 misses, 0 corrupt)" in title
         assert sharded_title == title
         assert sharded_per_cell == per_cell
         assert len(per_cell) == len(NAMES)

@@ -23,18 +23,12 @@ def _write_run(directory, spans_list, experiment="figure2", scale=1.0):
     run_manifest.write_manifest(directory, document)
 
 
-def _three_span_run(directory, root_dur=5.0, **kwargs):
+def _three_span_run(directory, **kwargs):
     _write_run(directory, [
         _span("cell", "100.3", "100.2", 1.1, 2.0, workload="db_vortex"),
         _span("engine:run_cells", "100.2", "100.1", 1.0, 4.0, cells=1),
-        _span("cli:experiment", "100.1", None, 0.5, root_dur),
+        _span("cli:experiment", "100.1", None, 0.5, 5.0),
     ], **kwargs)
-
-
-def _baseline(path, seconds, scale=1.0):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"scale": scale, "seconds": seconds}))
-    return path
 
 
 class TestLoadRun:
@@ -96,48 +90,6 @@ class TestRendering:
         json.loads(out.read_text())
 
 
-class TestBaseline:
-    def test_ok_within_threshold(self, tmp_path):
-        _three_span_run(tmp_path, root_dur=5.0)
-        baseline = _baseline(tmp_path / "base.json", {"figure2": 4.5})
-        verdict = profile.compare_baseline(
-            profile.load_run(tmp_path), baseline, threshold=0.25)
-        assert verdict.status == "ok"
-        assert verdict.exit_code == 0
-
-    def test_regression_beyond_threshold(self, tmp_path):
-        _three_span_run(tmp_path, root_dur=8.0)
-        baseline = _baseline(tmp_path / "base.json", {"figure2": 4.0})
-        verdict = profile.compare_baseline(
-            profile.load_run(tmp_path), baseline, threshold=0.25)
-        assert verdict.status == "regression"
-        assert verdict.exit_code == 1
-        assert any("REGRESSION" in m for m in verdict.messages)
-
-    def test_skipped_when_no_baseline_file(self, tmp_path):
-        _three_span_run(tmp_path)
-        verdict = profile.compare_baseline(
-            profile.load_run(tmp_path), tmp_path / "absent.json")
-        assert verdict.status == "skipped"
-        assert verdict.exit_code == 0
-
-    def test_skipped_when_experiment_not_recorded(self, tmp_path):
-        _three_span_run(tmp_path, experiment="figure8")
-        baseline = _baseline(tmp_path / "base.json", {"figure2": 4.0})
-        verdict = profile.compare_baseline(
-            profile.load_run(tmp_path), baseline)
-        assert verdict.status == "skipped"
-
-    def test_skipped_on_scale_mismatch(self, tmp_path):
-        _three_span_run(tmp_path, scale=0.2)
-        baseline = _baseline(tmp_path / "base.json", {"figure2": 4.0},
-                             scale=1.0)
-        verdict = profile.compare_baseline(
-            profile.load_run(tmp_path), baseline)
-        assert verdict.status == "skipped"
-        assert verdict.exit_code == 0
-
-
 class TestProfileCommand:
     def test_renders_tree_and_exits_zero(self, tmp_path, capsys):
         _three_span_run(tmp_path)
@@ -158,18 +110,6 @@ class TestProfileCommand:
         document = json.loads(trace.read_text())
         assert {e["name"] for e in document["traceEvents"]} \
             == {"cli:experiment", "engine:run_cells", "cell"}
-
-    def test_check_gate_exit_codes(self, tmp_path, capsys):
-        _three_span_run(tmp_path, root_dur=8.0)
-        baseline = _baseline(tmp_path / "base.json", {"figure2": 4.0})
-        assert main(["profile", str(tmp_path), "--check",
-                     "--baseline", str(baseline)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-        assert main(["profile", str(tmp_path), "--check",
-                     "--baseline", str(baseline),
-                     "--threshold", "2.0"]) == 0
-        assert main(["profile", str(tmp_path), "--check",
-                     "--baseline", str(tmp_path / "absent.json")]) == 0
 
 
 class TestRotatedSegments:

@@ -2,8 +2,9 @@
 
 ``evaluate_scheme`` replays traces through NumPy array operations
 (definitive-rule scoring, convolution-derived branch history, grouped
-1-bit table replay); ``evaluate_scheme_scalar`` walks records through
-the live ARPT/ContextTracker structures.  Every scheme, table size, and
+1-bit table replay); ``evaluate_scheme_scalar``
+(``tests/oracles/scalar.py``) walks records through the live
+ARPT/ContextTracker structures.  Every scheme, table size, and
 hint configuration must produce identical PredictionResults on random
 traces (hypothesis plus fixed seeds) and real compiled workloads.
 """
@@ -15,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import run_source
-from repro.predictor.evaluate import (evaluate_scheme,
-                                      evaluate_scheme_scalar,
-                                      occupancy_by_context)
+from repro.predictor.evaluate import evaluate_scheme, occupancy_by_context
 from repro.predictor.hints import hints_from_trace
 from repro.predictor.schemes import ALL_SCHEMES, Scheme
 from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_HEAP, REGION_STACK,
                                  Trace, TraceRecord)
+
+from tests.oracles.scalar import evaluate_scheme_scalar
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 _SCHEME_NAMES = tuple(s.name for s in ALL_SCHEMES)

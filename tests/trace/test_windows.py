@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from repro.trace.records import (OC_IALU, OC_LOAD, REGION_DATA, REGION_HEAP,
                                  REGION_STACK, Trace, TraceRecord)
-from repro.trace.windows import SlidingWindowProfiler, window_stats
+from repro.trace.windows import window_stats
+
+from tests.oracles.scalar import SlidingWindowProfiler
 
 
 def mem(region):
